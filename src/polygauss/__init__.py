@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     ParseError,
     PolyGaussError,
+    RangeError,
     SchemaError,
     SingularMap,
     SolveFailure,
@@ -95,4 +96,5 @@ __all__ = [
     "SpecRejected",
     "ParseError",
     "SchemaError",
+    "RangeError",
 ]

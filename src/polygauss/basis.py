@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import multiindex as mi
-from .core import GaussPoly, GaussTerm
+from .core import COEFF_DROP_REL, GaussPoly, GaussTerm, derivative_tower
 from .errors import SolveFailure
 from .linalg import SpdForm
 from .polynomial import Polynomial
@@ -31,11 +31,19 @@ class DerivativeElement:
 
     def expand(self):
         """Rewrite as a single monomial-type term by differentiating."""
-        dim = self.quad.dim
-        bare = GaussPoly(
-            dim, (GaussTerm(Polynomial.constant(dim, 1.0), self.quad, self.shift),)
-        )
-        return bare.differentiate(self.order)
+        order = mi.validate(self.order, self.quad.dim)
+        poly = _element_polys(self.quad, self.shift, [order])[order]
+        return GaussPoly(self.quad.dim, (GaussTerm(poly, self.quad, self.shift),)).canonical()
+
+
+def _element_polys(quad, shift, orders):
+    """The polynomial p_beta of each element d^beta e = p_beta e, dust dropped.
+
+    Conversion and re-expansion both read these, so a round trip sees the
+    same entries on both sides.
+    """
+    tower = derivative_tower(Polynomial.constant(quad.dim, 1.0), quad, shift, orders)
+    return {beta: tower[beta].drop_small(COEFF_DROP_REL) for beta in orders}
 
 
 def expand_derivative_element(element):
@@ -56,10 +64,17 @@ class DerivativeExpansion:
 
     def expand(self):
         """Reassemble the monomial-type function this expansion encodes."""
-        total = GaussPoly.zero(self.dim)
-        for beta, c in sorted(self.coeffs.items(), key=lambda kv: mi.grlex_key(kv[0])):
-            total = total + c * DerivativeElement(beta, self.quad, self.shift).expand()
-        return total
+        coeffs = sorted(
+            ((mi.validate(beta, self.dim), complex(c)) for beta, c in self.coeffs.items()),
+            key=lambda kv: mi.grlex_key(kv[0]),
+        )
+        elements = _element_polys(self.quad, self.shift, [beta for beta, _ in coeffs])
+        out = {}
+        for beta, c in coeffs:
+            for alpha, v in elements[beta].coeffs.items():
+                out[alpha] = out.get(alpha, 0j) + v * c
+        poly = Polynomial._trusted(self.dim, out)
+        return GaussPoly(self.dim, (GaussTerm(poly, self.quad, self.shift),)).canonical()
 
 
 def to_derivative_basis(term):
@@ -76,11 +91,10 @@ def to_derivative_basis(term):
     pos = {alpha: i for i, alpha in enumerate(index)}
     m = len(index)
 
+    elements = _element_polys(term.quad, term.shift, index)
     system = np.zeros((m, m), dtype=complex)
     for j, beta in enumerate(index):
-        expanded = DerivativeElement(beta, term.quad, term.shift).expand()
-        poly = expanded.terms[0].poly
-        for alpha, c in poly.coeffs.items():
+        for alpha, c in elements[beta].coeffs.items():
             system[pos[alpha], j] = c
 
     # Guard the top-degree block before trusting the solve.

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     ParseError,
     PolyGaussError,
+    RangeError,
     SchemaError,
     SingularMap,
     SolveFailure,
@@ -37,6 +38,7 @@ _ERROR_CODES = (
     (SingularMap, "singular"),
     (SolveFailure, "solve"),
     (SpecRejected, "quadrature"),
+    (RangeError, "range"),
 )
 
 _VERIFY_DEFAULT_TOL = {"ft": 1e-6, "conv": 1e-6, "plancherel": 1e-9, "deriv": 1e-6}
@@ -381,6 +383,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect: still report a code, not a traceback
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

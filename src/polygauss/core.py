@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import multiindex as mi
-from .errors import DimensionMismatch, SingularMap
+from .errors import DimensionMismatch, RangeError, SingularMap
 from .linalg import LinearMap, SpdForm
 from .polynomial import Polynomial
 
@@ -53,6 +53,145 @@ def _entries_close(a, b):
     return bool(np.all(np.abs(a - b) <= tol))
 
 
+def exp_in_range(exponent, scale=1.0):
+    """The term constant scale * exp(exponent), or RangeError.
+
+    A constant that overflows, or underflows to 0 from a finite exponent,
+    cannot be stored as a complex double; returning inf or silently
+    dropping the term would both give a wrong function.
+    """
+    try:
+        value = scale * cmath.exp(exponent)
+    except OverflowError:
+        value = complex(math.inf)
+    if value == 0 or not cmath.isfinite(value):
+        raise RangeError(
+            f"term constant exp({exponent:.6g}) is outside the floating-point range"
+        )
+    return value
+
+
+def _key_clusters(terms):
+    """Group terms whose (quad, shift) keys match, as lists of positions.
+
+    Terms are visited in raw-key sort order (lexicographic in the entries
+    of Q, then Re b, then Im b); each joins the earliest cluster whose
+    representative, its first member, passes ``key_matches``, or else
+    starts a new cluster.  Clusters come out in the sort order of their
+    representatives.
+
+    Candidates are found through buckets of a generic projection k.w of
+    the stacked keys, with width W = 2 sum(w) (abs + rel max|key|): two
+    keys within tolerance project less than W/2 apart, so they sit in the
+    same or adjacent buckets, and the result equals a sweep against every
+    earlier representative.
+    """
+    if len(terms) <= 1:
+        return [[i] for i in range(len(terms))]
+    quads = np.array([t.quad.entries for t in terms]).reshape(len(terms), -1)
+    shifts = np.array([t.shift for t in terms])
+    scale = max(float(np.max(np.abs(quads))), float(np.max(np.abs(shifts))))
+    if not math.isfinite(scale):
+        raise RangeError("a term key is not finite")
+    keys = np.hstack((quads, shifts.real, shifts.imag))
+    # Weyl-sequence weights in [0.5, 1.5): fixed, positive and generic, so
+    # that keys on a lattice do not project onto one value (all ones would).
+    weights = 0.5 + np.modf(np.arange(1, keys.shape[1] + 1) * 0.6180339887498949)[0]
+    width = 2.0 * float(np.sum(weights)) * (MERGE_ABS_TOL + MERGE_REL_TOL * scale)
+    buckets = np.floor(keys @ weights / width).tolist()
+    table = {}
+    clusters = []
+    for i in np.lexsort(keys.T[::-1]).tolist():
+        b = buckets[i]
+        home = None
+        for near in (b - 1.0, b, b + 1.0):
+            for c in table.get(near, ()):
+                if (home is None or c < home) and terms[clusters[c][0]].key_matches(terms[i]):
+                    home = c
+        if home is None:
+            table.setdefault(b, []).append(len(clusters))
+            clusters.append([i])
+        else:
+            clusters[home].append(i)
+    return clusters
+
+
+def _sum_polys(dim, polys):
+    """Exactly rounded sum, so the result does not depend on the order of polys."""
+    if len(polys) == 1:
+        return polys[0]
+    parts = {}
+    for p in polys:
+        for alpha, c in p.coeffs.items():
+            parts.setdefault(alpha, []).append(c)
+    return Polynomial._trusted(
+        dim,
+        {
+            alpha: cs[0] if len(cs) == 1
+            else complex(math.fsum(c.real for c in cs), math.fsum(c.imag for c in cs))
+            for alpha, cs in parts.items()
+        },
+    )
+
+
+def _exponent_gradient(quad, shift, axis):
+    """d/dx_j of the exponent: the degree-1 polynomial b_j - 2 pi (Qx)_j."""
+    dim = quad.dim
+    coeffs = {mi.zero(dim): complex(shift[axis])}
+    row = quad.entries[axis]
+    for k in range(dim):
+        if row[k] != 0.0:
+            coeffs[mi.unit(dim, k)] = complex(-2.0 * math.pi * row[k])
+    return Polynomial._trusted(dim, coeffs)
+
+
+def derivative_tower(base, quad, shift, orders):
+    """Polynomials p_alpha with d^alpha (base * e) = p_alpha * e.
+
+    Here e = exp(-pi x.Qx + b.x).  Each order is one derivative step from
+    its graded parent (alpha less one on its first nonzero axis), so the
+    returned dict, which holds every order in ``orders`` and their
+    ancestors, costs one step per entry.
+    """
+    grads = {}
+    tower = {mi.zero(quad.dim): base}
+
+    def get(alpha):
+        poly = tower.get(alpha)
+        if poly is None:
+            axis = next(j for j, e in enumerate(alpha) if e)
+            parent = get(alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:])
+            if axis not in grads:
+                grads[axis] = _exponent_gradient(quad, shift, axis)
+            poly = tower[alpha] = parent.differentiate(axis) + parent * grads[axis]
+        return poly
+
+    for alpha in orders:
+        get(alpha)
+    return tower
+
+
+def product_terms(left, right):
+    """The raw term list of a product: one term per pair, keys added."""
+    # Equal forms give equal sums, so each distinct sum is certified once.
+    right_keys = [b.quad.entries.tobytes() for b in right]
+    sums = {}
+    out = []
+    for a in left:
+        a_key = a.quad.entries.tobytes()
+        for b, b_key in zip(right, right_keys):
+            quad = sums.get((a_key, b_key))
+            if quad is None:
+                quad = sums[a_key, b_key] = a.quad + b.quad
+            out.append(GaussTerm(a.poly * b.poly, quad, a.shift + b.shift))
+    return out
+
+
+def conjugate_terms(terms):
+    """The raw term list of the complex conjugate (see ``GaussPoly.conjugate``)."""
+    return [GaussTerm(t.poly.conjugate(), t.quad, np.conj(t.shift)) for t in terms]
+
+
 class GaussTerm:
     """One canonical building block: polynomial, SPD form, complex shift."""
 
@@ -80,13 +219,6 @@ class GaussTerm:
         """Whether (quad, shift) agree within the merge tolerance."""
         return _entries_close(self.quad.entries, other.quad.entries) and _entries_close(
             self.shift, other.shift
-        )
-
-    def _sort_key(self):
-        return (
-            tuple(self.quad.entries.ravel()),
-            tuple(self.shift.real),
-            tuple(self.shift.imag),
         )
 
     def coefficient_mass(self):
@@ -146,27 +278,41 @@ class GaussPoly:
     def canonical(self):
         """Merge terms with matching (quad, shift) keys and drop dust.
 
-        Evaluation is unchanged up to roundoff at the scale of the
-        function.  Terms come out sorted by their raw key entries so
-        identical inputs always produce identical output.
+        Dust (coefficients below ``COEFF_DROP_REL`` of a term's largest) is
+        dropped per term, then keys are merged by a fixed-representative
+        rule: in raw-key sort order, each term joins the earliest
+        representative within the merge tolerance (1e-12 absolute plus
+        1e-12 relative, entry by entry), or becomes a representative
+        itself.  Merged polynomials are summed with exact rounding and the
+        merged term keeps its representative's key.  Terms come out sorted
+        by key, and the result depends only on the multiset of input
+        terms, not their order; canonical forms are fixed points.
+
+        Keys that chain wider than one tolerance (a near b near c, a far
+        from c) can still split differently when the same terms are summed
+        under another association, e.g. (a + b) + c against a + (b + c),
+        because each partial result keeps only its representative's key; a
+        partial sum that cancels to zero loses its key the same way.
+        Evaluation is unchanged up to roundoff at the scale of the function.
         """
-        groups = []  # [quad, shift, poly]
+        live = []
         for t in self.terms:
             poly = t.poly.drop_small(COEFF_DROP_REL)
-            if not poly:
-                continue
-            for g in groups:
-                if _entries_close(g[0].entries, t.quad.entries) and _entries_close(g[1], t.shift):
-                    g[2] = g[2] + poly
-                    break
-            else:
-                groups.append([t.quad, t.shift, poly])
-        out = []
-        for quad, shift, poly in groups:
-            poly = poly.drop_small(COEFF_DROP_REL)
             if poly:
-                out.append(GaussTerm(poly, quad, shift))
-        out.sort(key=GaussTerm._sort_key)
+                live.append(t if poly is t.poly else GaussTerm(poly, t.quad, t.shift))
+        if len(live) <= 1:
+            return GaussPoly(self.dim, live)
+        out = []
+        for members in _key_clusters(live):
+            rep = live[members[0]]
+            if len(members) == 1:
+                out.append(rep)
+                continue
+            poly = _sum_polys(self.dim, [live[i].poly for i in members]).drop_small(
+                COEFF_DROP_REL
+            )
+            if poly:
+                out.append(GaussTerm(poly, rep.quad, rep.shift))
         return GaussPoly(self.dim, out)
 
     # ----- evaluation ----------------------------------------------------
@@ -214,17 +360,16 @@ class GaussPoly:
         if isinstance(other, GaussPoly):
             if other.dim != self.dim:
                 raise DimensionMismatch("function dimensions differ")
-            out = []
-            for a in self.terms:
-                for b in other.terms:
-                    out.append(
-                        GaussTerm(a.poly * b.poly, a.quad + b.quad, a.shift + b.shift)
-                    )
-            return GaussPoly(self.dim, out).canonical()
+            return GaussPoly(self.dim, product_terms(self.terms, other.terms)).canonical()
+        # Keys are unchanged and dust is relative, so there is nothing to
+        # merge; only terms scaled to exactly zero go.
         scalar = complex(other)
-        return GaussPoly(
-            self.dim, tuple(GaussTerm(t.poly * scalar, t.quad, t.shift) for t in self.terms)
-        ).canonical()
+        out = []
+        for t in self.terms:
+            poly = t.poly * scalar
+            if poly:
+                out.append(GaussTerm(poly, t.quad, t.shift))
+        return GaussPoly(self.dim, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -238,12 +383,7 @@ class GaussPoly:
         and stays put.  The identity conj(f)(x) = conj(f(x)) holds for
         real x only.
         """
-        return GaussPoly(
-            self.dim,
-            tuple(
-                GaussTerm(t.poly.conjugate(), t.quad, np.conj(t.shift)) for t in self.terms
-            ),
-        ).canonical()
+        return GaussPoly(self.dim, conjugate_terms(self.terms)).canonical()
 
     def translate(self, a):
         """The shifted function x |-> f(x - a); a may be complex.
@@ -256,7 +396,7 @@ class GaussPoly:
         out = []
         for t in self.terms:
             qa = t.quad.entries @ a
-            const = cmath.exp(-math.pi * complex(a @ qa) - complex(t.shift @ a))
+            const = exp_in_range(-math.pi * complex(a @ qa) - complex(t.shift @ a))
             poly = t.poly.substitute_affine(None, -a) * const
             out.append(GaussTerm(poly, t.quad, t.shift + 2.0 * math.pi * qa))
         return GaussPoly(self.dim, out).canonical()
@@ -271,18 +411,12 @@ class GaussPoly:
         ).canonical()
 
     def _differentiate_once(self, axis):
+        """One partial derivative, term by term; the result is not merged."""
         out = []
         for t in self.terms:
-            # d/dx_j of the exponent is the degree-1 polynomial b_j - 2 pi (Qx)_j.
-            mult = {mi.zero(self.dim): complex(t.shift[axis])}
-            row = t.quad.entries[axis]
-            for k in range(self.dim):
-                if row[k] != 0.0:
-                    key = mi.unit(self.dim, k)
-                    mult[key] = mult.get(key, 0j) - 2.0 * math.pi * row[k]
-            new_poly = t.poly.differentiate(axis) + t.poly * Polynomial(self.dim, mult)
-            out.append(GaussTerm(new_poly, t.quad, t.shift))
-        return GaussPoly(self.dim, out).canonical()
+            grad = _exponent_gradient(t.quad, t.shift, axis)
+            out.append(GaussTerm(t.poly.differentiate(axis) + t.poly * grad, t.quad, t.shift))
+        return GaussPoly(self.dim, out)
 
     def differentiate(self, alpha):
         """Mixed partial derivative of multi-index order alpha."""
@@ -291,7 +425,7 @@ class GaussPoly:
         for axis, reps in enumerate(alpha):
             for _ in range(reps):
                 result = result._differentiate_once(axis)
-        return result if result is not self else self.canonical()
+        return result.canonical()
 
     def monomial_times(self, alpha):
         """Multiply by the monomial x^alpha."""
@@ -321,35 +455,26 @@ class GaussPoly:
 def coefficient_distance(f, g):
     """How far apart two functions are, coefficient by coefficient.
 
-    Both inputs are put in canonical form; terms are matched by their
-    (quad, shift) keys within the merge tolerance.  The distance is the
-    largest absolute coefficient difference over matched terms plus the
-    total coefficient mass of any unmatched terms, so 0 means identical
-    canonical forms.
+    Both inputs are put in canonical form and their terms grouped by the
+    key rule of :meth:`GaussPoly.canonical`.  The distance is the largest
+    absolute coefficient difference over groups holding terms of both
+    functions plus the total coefficient mass of the other groups, so 0
+    means identical canonical forms.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("function dimensions differ")
     fc = f.canonical()
     gc = g.canonical()
-    taken = [False] * len(gc.terms)
+    terms = fc.terms + gc.terms
+    split = len(fc.terms)
     worst = 0.0
     unmatched = 0.0
-    for t in fc.terms:
-        hit = None
-        for j, u in enumerate(gc.terms):
-            if not taken[j] and t.key_matches(u):
-                hit = j
-                break
-        if hit is None:
-            unmatched += t.coefficient_mass()
+    for members in _key_clusters(terms):
+        mine = [terms[i].poly for i in members if i < split]
+        theirs = [terms[i].poly for i in members if i >= split]
+        if not (mine and theirs):
+            unmatched += sum(terms[i].coefficient_mass() for i in members)
             continue
-        taken[hit] = True
-        u = gc.terms[hit]
-        for alpha in set(t.poly.coeffs) | set(u.poly.coeffs):
-            diff = abs(t.poly.coeffs.get(alpha, 0j) - u.poly.coeffs.get(alpha, 0j))
-            if diff > worst:
-                worst = diff
-    for j, u in enumerate(gc.terms):
-        if not taken[j]:
-            unmatched += u.coefficient_mass()
+        diff = _sum_polys(f.dim, mine) - _sum_polys(f.dim, theirs)
+        worst = max(worst, max((abs(c) for c in diff.coeffs.values()), default=0.0))
     return worst + unmatched

@@ -25,6 +25,10 @@ class SpecRejected(PolyGaussError):
     """A quadrature spec cannot certify its truncation error for the input."""
 
 
+class RangeError(PolyGaussError):
+    """A term constant or key falls outside the floating-point range."""
+
+
 class SchemaError(PolyGaussError):
     """A JSON document does not match the interchange schema."""
 

@@ -30,7 +30,7 @@ import re
 
 import numpy as np
 
-from .core import GaussPoly, GaussTerm
+from .core import GaussPoly, GaussTerm, exp_in_range
 from .errors import DimensionMismatch, ParseError, SpdError
 from .linalg import SpdForm
 from .polynomial import Polynomial
@@ -86,7 +86,10 @@ def tokenize(text):
         lexeme = m.group(0)
         if m.lastgroup != "ws":
             if m.lastgroup == "number":
-                tokens.append(Token("NUMBER", float(lexeme), line, col))
+                value = float(lexeme)
+                if not math.isfinite(value):
+                    raise ParseError(f"number {lexeme} is out of range", line, col)
+                tokens.append(Token("NUMBER", value, line, col))
             elif m.lastgroup == "name":
                 if lexeme in ("exp", "pi", "i", "x"):
                     tokens.append(Token(lexeme.upper(), lexeme, line, col))
@@ -529,7 +532,7 @@ def _lower_node(node, dim):
         return [_Piece(Polynomial.monomial(dim, alpha))]
     if isinstance(node, ExpNode):
         equad, elin, const = _lower_exp_arg(node.arg, dim)
-        return [_Piece(Polynomial.constant(dim, cmath.exp(const)), equad, elin)]
+        return [_Piece(Polynomial.constant(dim, exp_in_range(const)), equad, elin)]
     if isinstance(node, (QuadApply, DotApply)):
         raise ParseError("[x,x] and .x literals are only valid inside exp(...)", *node.pos)
     raise TypeError(f"cannot lower node {node!r}")

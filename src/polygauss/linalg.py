@@ -32,8 +32,9 @@ class SpdForm:
     Raises
     ------
     SpdError
-        If the matrix is not square, not symmetric, or any Cholesky pivot
-        falls below ``PIVOT_REL_TOL`` times the largest diagonal entry.
+        If the matrix is not square, not finite, not symmetric, or any
+        Cholesky pivot falls below ``PIVOT_REL_TOL`` times the largest
+        diagonal entry.
     """
 
     __slots__ = ("dim", "entries", "chol", "det", "_inverse")
@@ -42,6 +43,8 @@ class SpdForm:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise SpdError(f"quadratic form must be a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise SpdError("quadratic form has non-finite entries")
         scale = np.max(np.abs(a)) if a.size else 0.0
         if scale == 0.0:
             raise SpdError("quadratic form is identically zero")

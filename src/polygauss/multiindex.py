@@ -5,6 +5,8 @@ doubles as the exponent vector of a monomial.  Orderings here are graded
 lexicographic: first by total degree, then lexicographically.
 """
 
+from operator import add as _add
+
 from .errors import DimensionMismatch
 
 
@@ -32,7 +34,7 @@ def unit(dim, axis):
 
 
 def add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def grlex_key(alpha):

@@ -5,10 +5,12 @@ coefficients are never stored.  An exponent of 0 on an axis means that
 axis contributes a factor 1.
 """
 
+import cmath
+
 import numpy as np
 
 from . import multiindex as mi
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, RangeError
 
 
 class Polynomial:
@@ -32,6 +34,20 @@ class Polynomial:
             if c != 0:
                 clean[alpha] = clean.get(alpha, 0j) + c
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, dim, coeffs):
+        """Wrap a coefficient dict that the package built itself.
+
+        The keys must already be exponent tuples of length ``dim`` and the
+        values Python complex numbers, so the per-entry validation of
+        :meth:`__init__`, which guards outside input, is skipped; exact
+        zeros are still removed.
+        """
+        self = object.__new__(cls)
+        self.dim = dim
+        self.coeffs = {a: c for a, c in coeffs.items() if c != 0}
+        return self
 
     @classmethod
     def constant(cls, dim, value):
@@ -63,10 +79,10 @@ class Polynomial:
         out = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
             out[alpha] = out.get(alpha, 0j) + c
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, out)
 
     def __neg__(self):
-        return Polynomial(self.dim, {a: -c for a, c in self.coeffs.items()})
+        return Polynomial._trusted(self.dim, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -76,12 +92,15 @@ class Polynomial:
             if other.dim != self.dim:
                 raise DimensionMismatch("polynomial dimensions differ")
             out = {}
+            get = out.get
+            add = mi.add
             for a1, c1 in self.coeffs.items():
                 for a2, c2 in other.coeffs.items():
-                    key = mi.add(a1, a2)
-                    out[key] = out.get(key, 0j) + c1 * c2
-            return Polynomial(self.dim, out)
-        return Polynomial(self.dim, {a: c * other for a, c in self.coeffs.items()})
+                    key = add(a1, a2)
+                    out[key] = get(key, 0j) + c1 * c2
+            return Polynomial._trusted(self.dim, out)
+        scalar = complex(other)
+        return Polynomial._trusted(self.dim, {a: c * scalar for a, c in self.coeffs.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -99,7 +118,7 @@ class Polynomial:
         return result
 
     def conjugate(self):
-        return Polynomial(self.dim, {a: c.conjugate() for a, c in self.coeffs.items()})
+        return Polynomial._trusted(self.dim, {a: c.conjugate() for a, c in self.coeffs.items()})
 
     def differentiate(self, axis):
         """Partial derivative along one axis."""
@@ -109,11 +128,13 @@ class Polynomial:
             if k:
                 beta = alpha[:axis] + (k - 1,) + alpha[axis + 1:]
                 out[beta] = out.get(beta, 0j) + k * c
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, out)
 
     def monomial_times(self, alpha):
         alpha = mi.validate(alpha, self.dim)
-        return Polynomial(self.dim, {mi.add(a, alpha): c for a, c in self.coeffs.items()})
+        return Polynomial._trusted(
+            self.dim, {mi.add(a, alpha): c for a, c in self.coeffs.items()}
+        )
 
     def substitute_affine(self, matrix=None, offset=None):
         """Expand p(M x + c) back into monomials.
@@ -133,36 +154,46 @@ class Polynomial:
                 raise DimensionMismatch("substitution offset has wrong length")
 
         # Degree-1 polynomial substituted for each variable.
+        zero = mi.zero(n)
         lines = []
         for j in range(n):
             coeffs = {}
             if offset is not None and offset[j] != 0:
-                coeffs[mi.zero(n)] = complex(offset[j])
+                coeffs[zero] = complex(offset[j])
             for k in range(n):
                 entry = 1.0 if matrix is None and k == j else (0.0 if matrix is None else matrix[j, k])
                 if entry != 0:
-                    coeffs[mi.unit(n, k)] = coeffs.get(mi.unit(n, k), 0j) + complex(entry)
-            lines.append(Polynomial(n, coeffs))
+                    coeffs[mi.unit(n, k)] = complex(entry)
+            lines.append(Polynomial._trusted(n, coeffs))
 
-        powers = [[Polynomial.constant(n, 1.0)] for _ in range(n)]
-        result = Polynomial(n, {})
+        one = Polynomial._trusted(n, {zero: 1 + 0j})
+        powers = [[one] for _ in range(n)]
+        out = {}
         for alpha, c in self.coeffs.items():
-            term = Polynomial.constant(n, c)
+            term = Polynomial._trusted(n, {zero: c})
             for j, e in enumerate(alpha):
                 while len(powers[j]) <= e:
                     powers[j].append(powers[j][-1] * lines[j])
                 if e:
                     term = term * powers[j][e]
-            result = result + term
-        return result
+            for beta, v in term.coeffs.items():
+                out[beta] = out.get(beta, 0j) + v
+        return Polynomial._trusted(n, out)
 
     def drop_small(self, rel_threshold):
-        """Remove coefficients below rel_threshold times the largest one."""
+        """Remove coefficients below rel_threshold times the largest one.
+
+        Raises RangeError if a coefficient is not finite: the relative cut
+        would silently drop it, or keep it and drop everything else.
+        """
         if not self.coeffs:
             return self
+        if not all(map(cmath.isfinite, self.coeffs.values())):
+            raise RangeError("a polynomial coefficient is outside the floating-point range")
         biggest = max(abs(c) for c in self.coeffs.values())
         cut = rel_threshold * biggest
-        return Polynomial(self.dim, {a: c for a, c in self.coeffs.items() if abs(c) >= cut})
+        kept = {a: c for a, c in self.coeffs.items() if abs(c) >= cut}
+        return self if len(kept) == len(self.coeffs) else Polynomial._trusted(self.dim, kept)
 
     def evaluate(self, point):
         point = np.asarray(point)

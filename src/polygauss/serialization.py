@@ -13,6 +13,7 @@ All floats are written in decimal with 17 significant digits, which
 round-trips IEEE-754 doubles exactly; output is a single line ended by LF.
 """
 
+import cmath
 import json
 
 import numpy as np
@@ -105,7 +106,12 @@ def _parse_complex_obj(obj, where):
         all(isinstance(obj[k], (int, float)) and not isinstance(obj[k], bool) for k in obj),
         f"{where}: re and im must be numbers",
     )
-    return complex(obj["re"], obj["im"])
+    try:
+        value = complex(obj["re"], obj["im"])
+    except OverflowError:  # an integer beyond the float range
+        value = complex(cmath.inf)
+    _require(cmath.isfinite(value), f"{where}: re and im must be finite")
+    return value
 
 
 def function_from_json(text):
@@ -141,7 +147,8 @@ def function_from_json(text):
                 and all(isinstance(a, int) and a >= 0 for a in alpha),
                 f"{spot}: alpha must be a list of {dim} nonnegative integers",
             )
-            coeffs[tuple(alpha)] = coeffs.get(tuple(alpha), 0j) + complex(item["re"], item["im"])
+            value = _parse_complex_obj({"re": item["re"], "im": item["im"]}, spot)
+            coeffs[tuple(alpha)] = coeffs.get(tuple(alpha), 0j) + value
         quad = entry["quad"]
         _require(
             isinstance(quad, list)

@@ -20,70 +20,93 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiindex as mi
-from .core import GaussPoly, GaussTerm, coefficient_distance
-from .errors import DimensionMismatch
+from .core import (
+    GaussPoly,
+    GaussTerm,
+    coefficient_distance,
+    conjugate_terms,
+    derivative_tower,
+    exp_in_range,
+    product_terms,
+)
+from .errors import DimensionMismatch, RangeError
 from .linalg import LinearMap
 from .polynomial import Polynomial
 
 
-def _transform_bare_exponential(dim, quad, shift):
-    """Transform of exp(-pi x.Qx + b.x) as a single-term function."""
-    qinv = quad.inverse()
-    const = quad.det ** -0.5 * cmath.exp(complex(shift @ qinv.entries @ shift) / (4.0 * math.pi))
+def _transform_term(term):
+    """The transform of one term: one term at the transformed key.
+
+    The bare exponential exp(-pi x.Qx + b.x) goes to const * e' with
+    e' = exp(-pi xi.Q^(-1) xi - i (Q^(-1) b).xi); each monomial x^alpha
+    of the polynomial contributes (i / 2 pi)^|alpha| d^alpha (const e').
+    """
+    dim = term.dim
+    qinv = term.quad.inverse()
+    shift = term.shift
+    const = exp_in_range(
+        complex(shift @ qinv.entries @ shift) / (4.0 * math.pi), term.quad.det ** -0.5
+    )
     new_shift = -1j * (qinv.entries @ shift)
-    term = GaussTerm(Polynomial.constant(dim, const), qinv, new_shift)
-    return GaussPoly(dim, (term,))
-
-
-def _transform_term(dim, term):
-    base = _transform_bare_exponential(dim, term.quad, term.shift)
-    # Walk multi-indices in graded order so each derivative of the base
-    # Gaussian is one step from an already-computed parent.
-    derivs = {mi.zero(dim): base}
-    top = term.poly.degree()
-    for alpha in mi.indices_up_to(dim, top):
-        if sum(alpha) == 0:
-            continue
-        axis = next(j for j, e in enumerate(alpha) if e)
-        parent = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
-        derivs[alpha] = derivs[parent]._differentiate_once(axis)
-    pieces = []
+    tower = derivative_tower(Polynomial.constant(dim, const), qinv, new_shift, term.poly.coeffs)
+    out = {}
     for alpha, c in term.poly.coeffs.items():
         scale = c * (1j / (2.0 * math.pi)) ** mi.degree(alpha)
-        pieces.extend((scale * derivs[alpha]).terms)
-    return pieces
+        for beta, v in tower[alpha].coeffs.items():
+            out[beta] = out.get(beta, 0j) + v * scale
+    return GaussTerm(Polynomial._trusted(dim, out), qinv, new_shift)
+
+
+def _reflect(term):
+    """The term of x |-> f(-x): odd monomials and the shift change sign."""
+    poly = {a: -c if mi.degree(a) % 2 else c for a, c in term.poly.coeffs.items()}
+    return GaussTerm(Polynomial._trusted(term.dim, poly), term.quad, -term.shift)
 
 
 def fourier_transform(f):
     """The transform of f, exact in closed form, in canonical shape."""
-    out = []
-    for term in f.terms:
-        out.extend(_transform_term(f.dim, term))
-    return GaussPoly(f.dim, out).canonical()
+    return GaussPoly(f.dim, [_transform_term(t) for t in f.terms]).canonical()
+
+
+def _inverse_terms(terms):
+    return [_reflect(_transform_term(t)) for t in terms]
 
 
 def inverse_transform(g):
     """The inverse transform, realized as argument negation of the forward one."""
-    return fourier_transform(g).compose_linear(LinearMap(-np.eye(g.dim)))
+    return GaussPoly(g.dim, _inverse_terms(g.terms)).canonical()
+
+
+def _integral_of_terms(dim, terms):
+    # Each transformed term evaluated at xi = 0 is its constant coefficient;
+    # integration is linear, so the terms are neither merged nor ordered.
+    zero = mi.zero(dim)
+    values = [_transform_term(t).poly.coeffs.get(zero, 0j) for t in terms]
+    if not all(map(cmath.isfinite, values)):
+        raise RangeError("a term of the integral is outside the floating-point range")
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
 def integral(f):
     """integral of f over R^n, i.e. the transform evaluated at 0."""
-    return fourier_transform(f).evaluate(np.zeros(f.dim))
+    return _integral_of_terms(f.dim, f.terms)
 
 
 def inner_product(f, g):
     """The L2 pairing: integral of f times conj(g)."""
     if f.dim != g.dim:
         raise DimensionMismatch("function dimensions differ")
-    return integral(f * g.conjugate())
+    return _integral_of_terms(f.dim, product_terms(f.terms, conjugate_terms(g.terms)))
 
 
 def convolve(f, g):
     """Convolution via the spectral product of the two transforms."""
     if f.dim != g.dim:
         raise DimensionMismatch("function dimensions differ")
-    return inverse_transform(fourier_transform(f) * fourier_transform(g))
+    spectral = product_terms(
+        [_transform_term(t) for t in f.terms], [_transform_term(t) for t in g.terms]
+    )
+    return GaussPoly(f.dim, _inverse_terms(spectral)).canonical()
 
 
 @dataclass(frozen=True)

@@ -205,3 +205,72 @@ def test_determinism_byte_identical(tmp_path):
         assert main(["ft", expr, "-o", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# every bad input ends in a typed error: exit 2 and error[code]
+
+
+def one_term_doc(re=1, shift_re=0, quad=1):
+    return (
+        '{"dim":1,"terms":[{"poly":[{"alpha":[0],"re":%s,"im":0}],'
+        '"quad":[[%s]],"shift":[{"re":%s,"im":0}]}]}' % (re, quad, shift_re)
+    )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        one_term_doc(re='"1"'),
+        one_term_doc(re="NaN"),
+        one_term_doc(re="1e999"),
+        one_term_doc(shift_re="Infinity"),
+        one_term_doc(quad="NaN"),
+    ],
+    ids=["string-coefficient", "nan-coefficient", "overflowing-coefficient",
+         "infinite-shift", "nan-quad"],
+)
+def test_malformed_numbers_are_schema_errors(tmp_path, capsys, doc):
+    path = tmp_path / "f.json"
+    path.write_text(doc)
+    assert main(["ft", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[schema]")
+    assert captured.out == ""
+
+
+def test_non_finite_literal_is_a_parse_error(capsys):
+    assert main(["ft", "exp(-pi*[[1]][x,x] + [1e400].x)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[parse]")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integral", "exp(-pi*[[1]][x,x] + [300].x)"],
+        # the true f(x - 400) is 1 at x = 400; its stored constant
+        # exp(-pi 400^2) underflows, which must not give the zero function
+        ["translate", "--a=400", "exp(-pi*[[1]][x,x])"],
+        ["ft", "1e300*1e300*exp(-pi*[[1]][x,x])"],
+    ],
+    ids=["transform-constant-overflows", "translate-constant-underflows",
+         "coefficient-overflows"],
+)
+def test_out_of_range_values_are_range_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[range]")
+    assert captured.out == ""
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    from polygauss import transform
+
+    def broken(f):
+        raise ZeroDivisionError("simulated defect")
+
+    monkeypatch.setattr(transform, "fourier_transform", broken)
+    assert main(["ft", "exp(-pi*[[1]][x,x])"]) == 2
+    assert capsys.readouterr().err.startswith("error[internal]: ZeroDivisionError")

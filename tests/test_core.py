@@ -10,6 +10,7 @@ from polygauss import (
     GaussTerm,
     LinearMap,
     Polynomial,
+    RangeError,
     SingularMap,
     SpdForm,
     coefficient_distance,
@@ -348,3 +349,9 @@ def test_immutability_of_arrays(rng):
         f.terms[0].quad.entries[0, 0] = 5.0
     with pytest.raises(ValueError):
         f.terms[0].shift[0] = 1.0
+
+
+def test_translate_constant_out_of_range_raises():
+    # exp(-pi * 400^2) underflows; the zero function would be wrong
+    with pytest.raises(RangeError):
+        gaussian_1d().translate([400.0])
