@@ -1,9 +1,10 @@
 """The two equivalent families of building blocks.
 
 Any term can be written with monomial blocks x^alpha e or with derivative
-blocks d^beta e, where e = exp(-pi x.Qx + b.x).  Expanding a derivative
-block is direct computation; the reverse direction solves one graded-
-triangular system per (Q, b) key.
+blocks d^beta e, where e = exp(-pi x.Qx + b.x).  Both directions apply
+the Gaussian moment operator exp(1/2 grad.S grad) once per (Q, b) key,
+with S = -2 pi Q to expand and S = +2 pi Q to convert, in the variable
+y = b - 2 pi Q x.
 """
 
 import math
@@ -46,7 +47,7 @@ for beta, c in sorted(expansion.coeffs.items()):
 back = expansion.expand()
 print("round trip residual:", coefficient_distance(cubic, back))
 
-# A multi-term function expands termwise, one system per (Q, b) key:
+# A multi-term function expands termwise, one expansion per (Q, b) key:
 f = GaussPoly.standard(1).monomial_times((2,)) + GaussPoly.gaussian(SpdForm([[2.0]]))
 print("\nfunction:", format_function(f))
 for k, e in enumerate(function_to_derivative_basis(f)):

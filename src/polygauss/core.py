@@ -145,32 +145,6 @@ def _exponent_gradient(quad, shift, axis):
     return Polynomial._trusted(dim, coeffs)
 
 
-def derivative_tower(base, quad, shift, orders):
-    """Polynomials p_alpha with d^alpha (base * e) = p_alpha * e.
-
-    Here e = exp(-pi x.Qx + b.x).  Each order is one derivative step from
-    its graded parent (alpha less one on its first nonzero axis), so the
-    returned dict, which holds every order in ``orders`` and their
-    ancestors, costs one step per entry.
-    """
-    grads = {}
-    tower = {mi.zero(quad.dim): base}
-
-    def get(alpha):
-        poly = tower.get(alpha)
-        if poly is None:
-            axis = next(j for j, e in enumerate(alpha) if e)
-            parent = get(alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:])
-            if axis not in grads:
-                grads[axis] = _exponent_gradient(quad, shift, axis)
-            poly = tower[alpha] = parent.differentiate(axis) + parent * grads[axis]
-        return poly
-
-    for alpha in orders:
-        get(alpha)
-    return tower
-
-
 def product_terms(left, right):
     """The raw term list of a product: one term per pair, keys added."""
     # Equal forms give equal sums, so each distinct sum is certified once.

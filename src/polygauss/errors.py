@@ -18,7 +18,11 @@ class SingularMap(PolyGaussError):
 
 
 class SolveFailure(PolyGaussError):
-    """A basis-conversion system was too ill-conditioned to solve reliably."""
+    """A quadratic form is too ill-conditioned for a derivative-basis conversion.
+
+    Raised when (lambda_min / lambda_max) ** degree of the form falls below
+    ``basis.TOP_BLOCK_PIVOT_REL``; the CLI reports it as ``error[solve]``.
+    """
 
 
 class SpecRejected(PolyGaussError):

@@ -2,12 +2,12 @@
 
 Positive-definiteness is certified by a successful Cholesky factorization
 with all pivots above a relative floor; the factor is cached and reused
-for determinants and inverses (two triangular solves per column), so no
-eigendecomposition is ever needed.
+for determinants and inverses.  The spectrum is computed once, on demand,
+where only the eigenvalues will do: sizing quadrature boxes and guarding
+the derivative-basis conversion against ill-conditioned forms.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, SingularMap, SpdError
 
@@ -37,7 +37,7 @@ class SpdForm:
         diagonal entry.
     """
 
-    __slots__ = ("dim", "entries", "chol", "det", "_inverse")
+    __slots__ = ("dim", "entries", "chol", "det", "_inverse", "_eigenvalues")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -63,18 +63,28 @@ class SpdForm:
         self.chol = _freeze(L)
         self.det = float(np.prod(np.diag(L)) ** 2)
         self._inverse = None
+        self._eigenvalues = None
 
     def __repr__(self):
         return f"SpdForm(dim={self.dim}, det={self.det:.6g})"
 
     def inverse(self):
-        """The inverse form, computed from the cached Cholesky factor."""
+        """The inverse form inv(L)^T inv(L), from the cached Cholesky factor A = L L^T.
+
+        The inverse remembers this form as its own inverse, so inverting
+        twice returns this object.
+        """
         if self._inverse is None:
-            eye = np.eye(self.dim)
-            y = solve_triangular(self.chol, eye, lower=True)
-            inv = solve_triangular(self.chol.T, y, lower=False)
-            self._inverse = SpdForm((inv + inv.T) / 2.0)
+            li = np.linalg.inv(self.chol)
+            self._inverse = SpdForm(li.T @ li)
+            self._inverse._inverse = self
         return self._inverse
+
+    def eigenvalues(self):
+        """The eigenvalues in ascending order, computed once."""
+        if self._eigenvalues is None:
+            self._eigenvalues = _freeze(np.linalg.eigvalsh(self.entries))
+        return self._eigenvalues
 
     def apply(self, v):
         """Matrix-vector product; accepts complex vectors."""
@@ -85,18 +95,6 @@ class SpdForm:
         x = np.asarray(x)
         y = x if y is None else np.asarray(y)
         return complex(x @ self.entries @ y)
-
-    def eigen_lower_bound(self):
-        """A positive lower bound on the smallest eigenvalue.
-
-        Derived from the factorization: det(A) divided by an upper bound
-        on the product of the remaining eigenvalues.  Conservative but
-        cheap, and safe to use for quadrature tail estimates.
-        """
-        if self.dim == 1:
-            return float(self.entries[0, 0])
-        lam_max = self.dim * float(np.max(np.abs(self.entries)))
-        return self.det / lam_max ** (self.dim - 1)
 
     def __add__(self, other):
         if not isinstance(other, SpdForm):

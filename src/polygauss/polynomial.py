@@ -141,42 +141,77 @@ class Polynomial:
 
         ``matrix`` is an n-by-n real or complex array (identity when None)
         and ``offset`` a length-n vector (zero when None).  Used for both
-        linear changes of variables and translations.
+        linear changes of variables and translations.  Each monomial's
+        image is its graded parent's image (one less on the first nonzero
+        axis) times one degree-1 line, so every image costs one product.
         """
         n = self.dim
-        if matrix is not None:
-            matrix = np.asarray(matrix)
-            if matrix.shape != (n, n):
-                raise DimensionMismatch("substitution matrix has wrong shape")
-        if offset is not None:
-            offset = np.asarray(offset)
-            if offset.shape != (n,):
-                raise DimensionMismatch("substitution offset has wrong length")
+        matrix = np.eye(n) if matrix is None else np.asarray(matrix)
+        if matrix.shape != (n, n):
+            raise DimensionMismatch("substitution matrix has wrong shape")
+        offset = np.zeros(n) if offset is None else np.asarray(offset)
+        if offset.shape != (n,):
+            raise DimensionMismatch("substitution offset has wrong length")
 
         # Degree-1 polynomial substituted for each variable.
         zero = mi.zero(n)
-        lines = []
-        for j in range(n):
-            coeffs = {}
-            if offset is not None and offset[j] != 0:
-                coeffs[zero] = complex(offset[j])
-            for k in range(n):
-                entry = 1.0 if matrix is None and k == j else (0.0 if matrix is None else matrix[j, k])
-                if entry != 0:
-                    coeffs[mi.unit(n, k)] = complex(entry)
-            lines.append(Polynomial._trusted(n, coeffs))
+        lines = [
+            Polynomial(n, {zero: offset[j], **{mi.unit(n, k): matrix[j, k] for k in range(n)}})
+            for j in range(n)
+        ]
+        images = {zero: Polynomial._trusted(n, {zero: 1 + 0j})}
 
-        one = Polynomial._trusted(n, {zero: 1 + 0j})
-        powers = [[one] for _ in range(n)]
+        def image(alpha):
+            poly = images.get(alpha)
+            if poly is None:
+                axis = next(j for j, e in enumerate(alpha) if e)
+                parent = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
+                poly = images[alpha] = image(parent) * lines[axis]
+            return poly
+
         out = {}
         for alpha, c in self.coeffs.items():
-            term = Polynomial._trusted(n, {zero: c})
-            for j, e in enumerate(alpha):
-                while len(powers[j]) <= e:
-                    powers[j].append(powers[j][-1] * lines[j])
-                if e:
-                    term = term * powers[j][e]
-            for beta, v in term.coeffs.items():
+            for beta, v in image(alpha).coeffs.items():
+                out[beta] = out.get(beta, 0j) + c * v
+        return Polynomial._trusted(n, out)
+
+    def gaussian_smooth(self, sigma):
+        """The Gaussian moment operator exp(1/2 grad . Sigma grad) applied to p.
+
+        For Sigma symmetric positive definite this is x |-> E p(x + Z) with
+        Z ~ N(0, Sigma) (Isserlis/Wick moments); the same series defines it
+        for any real n-by-n ``sigma``, of which only the symmetric part
+        acts.  Each step of the series lowers the degree by two, so it ends
+        after floor(deg / 2) steps, and H_A H_B = H_(A+B).
+        """
+        n = self.dim
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != (n, n):
+            raise DimensionMismatch("smoothing matrix has wrong shape")
+        # 1/2 grad.Sigma grad = sum_j Sigma_jj/2 d_j^2 + sum_{j<k} Sigma_jk d_j d_k.
+        steps = []
+        for j in range(n):
+            for k in range(j, n):
+                weight = sigma[j, j] / 2.0 if j == k else (sigma[j, k] + sigma[k, j]) / 2.0
+                if weight != 0.0:
+                    drop = [0] * n
+                    drop[j] -= 1
+                    drop[k] -= 1
+                    steps.append((j, k, float(weight), tuple(drop)))
+        out = dict(self.coeffs)
+        layer = self.coeffs
+        m = 0
+        while layer and steps:
+            m += 1
+            nxt = {}
+            for alpha, c in layer.items():
+                for j, k, weight, drop in steps:
+                    falling = alpha[j] * (alpha[k] - 1 if j == k else alpha[k])
+                    if falling > 0:
+                        beta = mi.add(alpha, drop)
+                        nxt[beta] = nxt.get(beta, 0j) + c * (weight * falling / m)
+            layer = nxt
+            for beta, v in layer.items():
                 out[beta] = out.get(beta, 0j) + v
         return Polynomial._trusted(n, out)
 

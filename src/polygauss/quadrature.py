@@ -61,10 +61,10 @@ def default_spec(f):
 
 
 def decay_floor(f):
-    """Lower bound on the Gaussian decay rate over all terms of f."""
+    """The slowest Gaussian decay rate over all terms of f: the least eigenvalue of any Q."""
     if f.is_zero:
         return 0.0
-    return min(t.quad.eigen_lower_bound() for t in f.terms)
+    return min(float(t.quad.eigenvalues()[0]) for t in f.terms)
 
 
 def _growth_rate(f):

@@ -2,15 +2,18 @@
 
 Convention:  F f (xi) = integral of f(x) exp(-2 pi i x . xi) dx.  With the
 storage convention of :mod:`polygauss.core` the standard Gaussian
-exp(-pi x . x) is its own transform, a bare exponential transforms to
+exp(-pi x . x) is its own transform.  Completing the square turns the
+transform of one term p(x) exp(-pi x.Qx + b.x) into a Gaussian
+expectation:
 
-    det(Q)^(-1/2) * exp(b . Q^(-1) b / (4 pi))
-        * exp(-pi xi . Q^(-1) xi - i (Q^(-1) b) . xi),
+    const * exp(-pi xi . Q^(-1) xi - i (Q^(-1) b) . xi)
+        * (H_Sigma p)(Q^(-1) b / 2 pi - i Q^(-1) xi),
 
-and each monomial factor x^alpha becomes (-2 pi i)^(-|alpha|) times the
-corresponding mixed partial of that transformed exponential.  Everything
-downstream (inversion, convolution, integrals, inner products) reduces to
-these term rules.
+with const = det(Q)^(-1/2) exp(b . Q^(-1) b / (4 pi)), Sigma = Q^(-1) / 2 pi
+and H_Sigma = exp(1/2 grad . Sigma grad) the moment operator of
+:meth:`Polynomial.gaussian_smooth`.  Everything downstream (inversion,
+convolution, integrals, inner products) reduces to this term rule; an
+integral is its value at xi = 0, one polynomial evaluation per term.
 """
 
 import cmath
@@ -25,7 +28,6 @@ from .core import (
     GaussTerm,
     coefficient_distance,
     conjugate_terms,
-    derivative_tower,
     exp_in_range,
     product_terms,
 )
@@ -34,27 +36,22 @@ from .linalg import LinearMap
 from .polynomial import Polynomial
 
 
-def _transform_term(term):
-    """The transform of one term: one term at the transformed key.
-
-    The bare exponential exp(-pi x.Qx + b.x) goes to const * e' with
-    e' = exp(-pi xi.Q^(-1) xi - i (Q^(-1) b).xi); each monomial x^alpha
-    of the polynomial contributes (i / 2 pi)^|alpha| d^alpha (const e').
-    """
-    dim = term.dim
+def _moments(term):
+    """const, Q^(-1), the center Q^(-1) b / 2 pi and H_Sigma p of one term."""
     qinv = term.quad.inverse()
     shift = term.shift
     const = exp_in_range(
         complex(shift @ qinv.entries @ shift) / (4.0 * math.pi), term.quad.det ** -0.5
     )
-    new_shift = -1j * (qinv.entries @ shift)
-    tower = derivative_tower(Polynomial.constant(dim, const), qinv, new_shift, term.poly.coeffs)
-    out = {}
-    for alpha, c in term.poly.coeffs.items():
-        scale = c * (1j / (2.0 * math.pi)) ** mi.degree(alpha)
-        for beta, v in tower[alpha].coeffs.items():
-            out[beta] = out.get(beta, 0j) + v * scale
-    return GaussTerm(Polynomial._trusted(dim, out), qinv, new_shift)
+    center = qinv.entries @ shift / (2.0 * math.pi)
+    return const, qinv, center, term.poly.gaussian_smooth(qinv.entries / (2.0 * math.pi))
+
+
+def _transform_term(term):
+    """The transform of one term: one term at the transformed key."""
+    const, qinv, center, smooth = _moments(term)
+    poly = smooth.substitute_affine(-1j * qinv.entries, center) * const
+    return GaussTerm(poly, qinv, -2j * math.pi * center)
 
 
 def _reflect(term):
@@ -77,11 +74,13 @@ def inverse_transform(g):
     return GaussPoly(g.dim, _inverse_terms(g.terms)).canonical()
 
 
-def _integral_of_terms(dim, terms):
-    # Each transformed term evaluated at xi = 0 is its constant coefficient;
-    # integration is linear, so the terms are neither merged nor ordered.
-    zero = mi.zero(dim)
-    values = [_transform_term(t).poly.coeffs.get(zero, 0j) for t in terms]
+def _integral_of_terms(terms):
+    # Each term's transform at xi = 0; integration is linear, so the terms
+    # are neither merged nor ordered.
+    values = []
+    for t in terms:
+        const, _, center, smooth = _moments(t)
+        values.append(const * smooth.evaluate(center))
     if not all(map(cmath.isfinite, values)):
         raise RangeError("a term of the integral is outside the floating-point range")
     return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
@@ -89,14 +88,14 @@ def _integral_of_terms(dim, terms):
 
 def integral(f):
     """integral of f over R^n, i.e. the transform evaluated at 0."""
-    return _integral_of_terms(f.dim, f.terms)
+    return _integral_of_terms(f.terms)
 
 
 def inner_product(f, g):
     """The L2 pairing: integral of f times conj(g)."""
     if f.dim != g.dim:
         raise DimensionMismatch("function dimensions differ")
-    return _integral_of_terms(f.dim, product_terms(f.terms, conjugate_terms(g.terms)))
+    return _integral_of_terms(product_terms(f.terms, conjugate_terms(g.terms)))
 
 
 def convolve(f, g):

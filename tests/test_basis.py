@@ -98,6 +98,17 @@ def test_round_trip_three_dimensions_degree_five(rng):
     assert coefficient_distance(GaussPoly(3, (term,)), back) <= 1e-9
 
 
+def test_round_trip_three_dimensions_degree_eight(rng):
+    quad = random_spd_form(rng, 3, eig_range=(0.5, 1.8))
+    shift = random_shift(rng, 3)
+    poly = Polynomial(
+        3, {a: complex(rng.normal(), rng.normal()) for a in mi.indices_up_to(3, 8)}
+    )
+    term = GaussTerm(poly, quad, shift)
+    back = to_derivative_basis(term).expand()
+    assert coefficient_distance(GaussPoly(3, (term,)), back) <= 1e-8
+
+
 def test_reverse_round_trip(rng):
     quad = random_spd_form(rng, 2)
     shift = random_shift(rng, 2)

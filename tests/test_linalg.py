@@ -37,13 +37,9 @@ def test_inverse_from_factorization(rng):
     assert q.inverse() is inv  # cached
 
 
-def test_eigen_lower_bound_is_a_lower_bound(rng):
-    for dim in (1, 2, 3):
-        for _ in range(20):
-            q = random_spd_form(rng, dim, eig_range=(0.1, 50.0))
-            lam_min = float(np.linalg.eigvalsh(q.entries)[0])
-            bound = q.eigen_lower_bound()
-            assert 0.0 < bound <= lam_min * (1 + 1e-12)
+def test_inverse_remembers_its_inverse(rng):
+    q = random_spd_form(rng, 3, eig_range=(0.5, 5.0))
+    assert q.inverse().inverse() is q
 
 
 def test_spd_addition():

@@ -60,6 +60,14 @@ def test_doubling_points_is_a_plateau(rng):
         assert abs(a - b) < 1e-9
 
 
+def test_default_box_from_smallest_eigenvalue(rng):
+    # half-width 6 / sqrt(lambda_min) over the terms, as documented
+    for dim in (1, 2, 3):
+        f = random_gauss_poly(rng, dim, n_terms=2, eig_range=(0.1, 50.0))
+        lam_min = min(float(np.linalg.eigvalsh(t.quad.entries)[0]) for t in f.terms)
+        assert default_spec(f).half_width == pytest.approx(6.0 / math.sqrt(lam_min), rel=1e-12)
+
+
 def test_spec_rejected_when_box_too_small():
     with pytest.raises(SpecRejected):
         quad_fourier(gaussian(), [0.0], QuadratureSpec(1, 1.0, 50))

@@ -1,11 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from polygauss import (
     GaussPoly,
+    GaussTerm,
+    Polynomial,
     LinearMap,
     SpdForm,
     coefficient_distance,
@@ -51,6 +54,23 @@ def test_monomial_rule_1d():
     for xi in (0.0, 0.5, -0.5, 1.0, -1.0):
         numeric = quad_fourier(f, [xi])
         assert abs(fhat.evaluate([xi]) - numeric) <= 1e-7
+
+
+def test_high_degree_transform_against_mpmath(rng):
+    # degree-12 polynomial, complex shift: the defining integral at 30 digits
+    q, b = 1.3, complex(0.4, -0.7)
+    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(13)]
+    f = GaussPoly(1, (GaussTerm(Polynomial(1, {(k,): c for k, c in enumerate(coeffs)}),
+                                SpdForm([[q]]), [b]),))
+    fhat = fourier_transform(f)
+    mpmath.mp.dps = 30
+    for xi in (0.0, 0.35, -0.8, 1.5):
+        def integrand(x):
+            poly = mpmath.polyval([mpmath.mpc(c.real, c.imag) for c in reversed(coeffs)], x)
+            return poly * mpmath.exp(-mpmath.pi * q * x * x + mpmath.mpc(b.real, b.imag) * x
+                                     - 2j * mpmath.pi * x * xi)
+        exact = complex(mpmath.quad(integrand, [-mpmath.inf, -4, -2, 0, 2, 4, mpmath.inf]))
+        assert abs(fhat.evaluate([xi]) - exact) <= 1e-10 * abs(exact)
 
 
 def test_transform_of_zero():
@@ -130,6 +150,32 @@ def test_complex_shift_integral():
 def test_odd_integrand_vanishes():
     f = GaussPoly.standard(1).monomial_times((1,))
     assert abs(integral(f)) <= 1e-15
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(Polynomial, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, name, counting)
+    return calls
+
+
+def test_integral_and_inner_product_build_no_transform(rng, monkeypatch):
+    # Each term costs one moment smoothing and one evaluation: no substituted
+    # polynomial, and no product beyond the one per pair of terms.
+    f = random_gauss_poly(rng, 2, n_terms=3, max_degree=4)
+    g = random_gauss_poly(rng, 2, n_terms=2, max_degree=3)
+    substitutions = _count_calls(monkeypatch, "substitute_affine")
+    products = _count_calls(monkeypatch, "__mul__")
+    integral(f)
+    assert (substitutions, products) == ([], [])
+    inner_product(f, g)
+    assert substitutions == []
+    assert len(products) == len(f.terms) * len(g.terms)
 
 
 # ---------------------------------------------------------------------------
