@@ -2,15 +2,25 @@
 
 Inputs may be JSON files in the interchange schema, ``-`` for stdin, or
 inline expressions in the textual language (anything that is not an
-existing path).  Results are written as canonical JSON, CSV or expression
-text.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-errors.  Errors carry a machine-readable code on stderr.
+existing path).  Option values are literals of the same language, read by
+``exprlang.parse_literal``: ``--a``/``--b`` are comma-separated complex
+elements (``1+2i,0``), ``--alpha`` nonnegative integers, ``--matrix`` a
+matrix literal (or ``I`` / ``-I``), grid bounds and ``--tol`` real numbers
+(``--tol`` > 0); ``nan``, ``inf`` and out-of-range numbers are not numbers.
+Results are written as canonical JSON, CSV or expression text.  Exit
+codes: 0 success, 1 verification failure, 2 usage or input errors, a
+malformed option value included (``error[parse]``).  Errors carry a
+machine-readable code on stderr.
+
+Every command is declared once, in ``_COMMANDS``; the argparse parser and
+the dispatch are built from that table once per process.
 """
 
 import argparse
-import json
+import operator
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -70,137 +80,90 @@ def _write(text, destination):
             fh.write(text)
 
 
-def _emit_function(f, destination):
-    _write(serialization.function_to_json(f) + "\n", destination)
+def _read(flag, kind, text, single=False):
+    """An option value in the expression language's literal syntax.
 
-
-def _parse_scalar(text):
-    """A complex scalar like 1, -2.5, 2i, 1-2i, i."""
-    cleaned = text.strip().replace(" ", "")
-    if not cleaned:
-        raise ParseError("empty scalar", 1, 1)
-    normalized = cleaned.replace("i", "j")
-    if normalized in ("j", "+j"):
-        normalized = "1j"
-    elif normalized == "-j":
-        normalized = "-1j"
-    else:
-        normalized = normalized.replace("+j", "+1j").replace("-j", "-1j")
+    The option readers run as argparse ``type`` functions.  argparse turns
+    a ValueError there into a usage error, but lets a ParseError through to
+    ``main``, which reports it as ``error[parse]``.
+    """
     try:
-        return complex(normalized)
-    except ValueError:
-        raise ParseError(f"cannot parse scalar {text!r}", 1, 1) from None
+        return exprlang.parse_literal(text, kind, single)
+    except ParseError as exc:
+        raise ParseError(f"{flag} {text!r}: {exc}") from None
 
 
-def _parse_vector(text):
-    return np.array([_parse_scalar(part) for part in text.split(",")], dtype=complex)
+def _matrix(text):
+    """A matrix literal, or I / -I as the signed identity (a 0-d array)."""
+    if text in ("I", "-I"):
+        return np.array(-1.0 if text == "-I" else 1.0)
+    return np.array(_read("--matrix", "matrix", text))
 
 
-def _parse_alpha(text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError(f"cannot parse multi-index {text!r}", 1, 1) from None
-
-
-def _parse_matrix(text, dim):
-    if text == "I":
-        return LinearMap(np.eye(dim))
-    if text == "-I":
-        return LinearMap(-np.eye(dim))
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"cannot parse matrix: {exc}", 1, 1) from None
-    return LinearMap(np.asarray(rows, dtype=float))
-
-
-def _parse_grid(text):
+def _grid(text, flag="--grid"):
     parts = text.split(":")
     if len(parts) != 3:
-        raise ParseError(f"grid must be lo:hi:steps, got {text!r}", 1, 1)
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(f"grid must be lo:hi:steps, got {text!r}", 1, 1) from None
+        raise ParseError(f"{flag} {text!r}: grid must be lo:hi:steps")
+    lo, hi = (_read(flag, "real", part, single=True) for part in parts[:2])
+    steps = _read(flag, "index", parts[2], single=True)
     if steps < 1:
-        raise ParseError("grid needs at least one step", 1, 1)
+        raise ParseError(f"{flag} {text!r}: grid needs at least one step")
     return np.linspace(lo, hi, steps)
+
+
+def _axis(text):
+    """J=lo:hi:steps -> (J, grid); J is checked against the input's dimension later."""
+    if "=" not in text:
+        raise ParseError(f"--axis {text!r}: axis spec must be J=lo:hi:steps")
+    axis_text, grid_text = text.split("=", 1)
+    return _read("--axis", "index", axis_text, single=True), _grid(grid_text, "--axis")
+
+
+def _tolerance(text):
+    tol = _read("--tol", "real", text, single=True)
+    if tol <= 0:
+        raise ParseError(f"--tol {text!r}: tolerance must be > 0")
+    return tol
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_unary(args):
-    f = _load_function(args.input)
-    if args.command == "ft":
-        result = transform.fourier_transform(f)
-    elif args.command == "ift":
-        result = transform.inverse_transform(f)
-    elif args.command == "diff":
-        result = f.differentiate(_parse_alpha(args.alpha))
-    elif args.command == "translate":
-        result = f.translate(_parse_vector(args.a))
-    elif args.command == "modulate":
-        result = f.modulate(_parse_vector(args.b))
-    elif args.command == "compose":
-        result = f.compose_linear(_parse_matrix(args.matrix, f.dim))
-    else:
-        raise AssertionError(args.command)
-    _emit_function(result, args.output)
-    return 0
+def _on_input(op, render=serialization.function_to_json):
+    """The handler of a command on one input f: writes render(op(f, args))."""
+
+    def handler(args):
+        _write(render(op(_load_function(args.input), args)) + "\n", args.output)
+        return 0
+
+    return handler
 
 
-def _cmd_binary(args):
-    f = _load_function(args.first)
-    g = _load_function(args.second)
-    if args.command == "conv":
-        _emit_function(transform.convolve(f, g), args.output)
-    elif args.command == "mul":
-        _emit_function(f * g, args.output)
-    else:  # inner
-        value = transform.inner_product(f, g)
-        _write(serialization.complex_to_json(value) + "\n", args.output)
-    return 0
+def _on_pair(op, render=serialization.function_to_json):
+    """The handler of a command on two inputs f, g: writes render(op(f, g))."""
+
+    def handler(args):
+        f = _load_function(args.first)
+        _write(render(op(f, _load_function(args.second))) + "\n", args.output)
+        return 0
+
+    return handler
 
 
-def _cmd_integral(args):
-    value = transform.integral(_load_function(args.input))
-    _write(serialization.complex_to_json(value) + "\n", args.output)
-    return 0
-
-
-def _cmd_to_deriv_basis(args):
-    expansions = function_to_derivative_basis(_load_function(args.input))
-    _write(serialization.expansions_to_json(expansions) + "\n", args.output)
-    return 0
-
-
-def _cmd_fmt(args):
-    _write(exprlang.format_function(_load_function(args.input)) + "\n", args.output)
-    return 0
+def _compose(f, m):
+    return f.compose_linear(LinearMap(m * np.eye(f.dim) if m.ndim == 0 else m))
 
 
 def _cmd_sample(args):
     f = _load_function(args.input)
-    grids = [None] * f.dim
-    if args.grid:
-        default = _parse_grid(args.grid)
-        grids = [default] * f.dim
-    for spec in args.axis or ():
-        if "=" not in spec:
-            raise ParseError(f"axis spec must be J=lo:hi:steps, got {spec!r}", 1, 1)
-        axis_text, grid_text = spec.split("=", 1)
-        try:
-            axis = int(axis_text)
-        except ValueError:
-            raise ParseError(f"bad axis index {axis_text!r}", 1, 1) from None
+    grids = [args.grid] * f.dim
+    for axis, grid in args.axis or ():
         if not 1 <= axis <= f.dim:
             raise DimensionMismatch(f"axis {axis} out of range 1..{f.dim}")
-        grids[axis - 1] = _parse_grid(grid_text)
+        grids[axis - 1] = grid
     if any(g is None for g in grids):
-        raise ParseError("every axis needs a grid; pass --grid or --axis", 1, 1)
+        raise ParseError("every axis needs a grid; pass --grid or --axis")
 
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -272,7 +235,63 @@ def _cmd_verify(args):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table: every command, its arguments and its handler, once
+
+
+def _option(flag, reader, help):
+    return (flag,), {"required": True, "type": reader, "help": help}
+
+
+_INPUT = ("input",), {}
+_OUTPUT = ("-o", "--output"), {"default": "-", "help": "output path, '-' for stdout"}
+_UNARY = (_INPUT, _OUTPUT)
+_BINARY = (("first",), {}), (("second",), {}), _OUTPUT
+
+# name, help, arguments as (argparse flags, keywords), handler(args) -> exit code
+_COMMANDS = (
+    ("ft", "Fourier transform", _UNARY,
+     _on_input(lambda f, a: transform.fourier_transform(f))),
+    ("ift", "inverse Fourier transform", _UNARY,
+     _on_input(lambda f, a: transform.inverse_transform(f))),
+    ("diff", "mixed partial derivative",
+     (_option("--alpha", partial(_read, "--alpha", "index"), "multi-index, e.g. 2,0"),
+      *_UNARY),
+     _on_input(lambda f, a: f.differentiate(a.alpha))),
+    ("translate", "shift the argument by a",
+     (_option("--a", partial(_read, "--a", "complex"), "vector, e.g. 1,0 or 1+2i,0"),
+      *_UNARY),
+     _on_input(lambda f, a: f.translate(a.a))),
+    ("modulate", "multiply by exp(-2 pi i x.b)",
+     (_option("--b", partial(_read, "--b", "complex"), "vector, e.g. 1,0"), *_UNARY),
+     _on_input(lambda f, a: f.modulate(a.b))),
+    ("compose", "compose with a linear map",
+     (_option("--matrix", _matrix, "matrix literal, e.g. [[0,1],[1,0]], or I / -I"),
+      *_UNARY),
+     _on_input(lambda f, a: _compose(f, a.matrix))),
+    ("conv", "convolution", _BINARY, _on_pair(transform.convolve)),
+    ("mul", "pointwise product", _BINARY, _on_pair(operator.mul)),
+    ("inner", "L2 inner product", _BINARY,
+     _on_pair(transform.inner_product, serialization.complex_to_json)),
+    ("integral", "integral over R^n", _UNARY,
+     _on_input(lambda f, a: transform.integral(f), serialization.complex_to_json)),
+    ("to-deriv-basis", "derivative-basis expansion per term", _UNARY,
+     _on_input(lambda f, a: function_to_derivative_basis(f),
+               serialization.expansions_to_json)),
+    ("verify", "check an identity; exit 1 on failure",
+     ((("--rule",), {"required": True, "choices": tuple(_VERIFY_DEFAULT_TOL)}),
+      (("--tol",), {"type": _tolerance, "default": None}),
+      _INPUT,
+      (("against",), {"nargs": "?", "default": None,
+                      "help": "claimed transform (ft/plancherel) or second function (conv)"})),
+     _cmd_verify),
+    ("sample", "evaluate on a grid, emit CSV",
+     ((("--grid",), {"type": _grid, "default": None, "help": "lo:hi:steps for every axis"}),
+      (("--axis",), {"type": _axis, "action": "append", "default": None,
+                     "help": "J=lo:hi:steps override"}),
+      *_UNARY),
+     _cmd_sample),
+    ("fmt", "canonical pretty-print", _UNARY, _on_input(lambda f, a: f, exprlang.format_function)),
+)
 
 
 def _build_parser():
@@ -281,103 +300,22 @@ def _build_parser():
         description="Exact Fourier calculus on sums of polynomial-times-Gaussian terms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
-
-    for name, doc in (
-        ("ft", "Fourier transform"),
-        ("ift", "inverse Fourier transform"),
-    ):
+    for name, doc, arguments, handler in _COMMANDS:
         p = sub.add_parser(name, help=doc)
-        p.add_argument("input")
-        add_output(p)
-
-    p = sub.add_parser("diff", help="mixed partial derivative")
-    p.add_argument("--alpha", required=True, help="multi-index, e.g. 2,0")
-    p.add_argument("input")
-    add_output(p)
-
-    p = sub.add_parser("translate", help="shift the argument by a")
-    p.add_argument("--a", required=True, help="vector, e.g. 1,0 or 1+2i,0")
-    p.add_argument("input")
-    add_output(p)
-
-    p = sub.add_parser("modulate", help="multiply by exp(-2 pi i x.b)")
-    p.add_argument("--b", required=True, help="vector, e.g. 1,0")
-    p.add_argument("input")
-    add_output(p)
-
-    p = sub.add_parser("compose", help="compose with a linear map")
-    p.add_argument("--matrix", required=True, help="JSON rows, or I / -I")
-    p.add_argument("input")
-    add_output(p)
-
-    for name, doc in (
-        ("conv", "convolution"),
-        ("mul", "pointwise product"),
-        ("inner", "L2 inner product"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("first")
-        p.add_argument("second")
-        add_output(p)
-
-    p = sub.add_parser("integral", help="integral over R^n")
-    p.add_argument("input")
-    add_output(p)
-
-    p = sub.add_parser("to-deriv-basis", help="derivative-basis expansion per term")
-    p.add_argument("input")
-    add_output(p)
-
-    p = sub.add_parser("verify", help="check an identity; exit 1 on failure")
-    p.add_argument("--rule", required=True, choices=("ft", "conv", "plancherel", "deriv"))
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("input")
-    p.add_argument(
-        "against",
-        nargs="?",
-        default=None,
-        help="claimed transform (ft/plancherel) or second function (conv)",
-    )
-
-    p = sub.add_parser("sample", help="evaluate on a grid, emit CSV")
-    p.add_argument("--grid", default=None, help="lo:hi:steps for every axis")
-    p.add_argument("--axis", action="append", help="J=lo:hi:steps override", default=None)
-    p.add_argument("input")
-    add_output(p)
-
-    p = sub.add_parser("fmt", help="canonical pretty-print")
-    p.add_argument("input")
-    add_output(p)
-
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
-_DISPATCH = {
-    "ft": _cmd_unary,
-    "ift": _cmd_unary,
-    "diff": _cmd_unary,
-    "translate": _cmd_unary,
-    "modulate": _cmd_unary,
-    "compose": _cmd_unary,
-    "conv": _cmd_binary,
-    "mul": _cmd_binary,
-    "inner": _cmd_binary,
-    "integral": _cmd_integral,
-    "to-deriv-basis": _cmd_to_deriv_basis,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "fmt": _cmd_fmt,
-}
+# Built once per process: building costs far more than one parse.
+_PARSER = _build_parser()
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        args = _PARSER.parse_args(argv)  # option values are read here
+        return args.handler(args)
     except PolyGaussError as exc:
         print(f"error[{_error_code(exc)}]: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,8 @@ def _as_complex_vector(v, dim):
         arr = arr.reshape(1)
     if arr.shape != (dim,):
         raise DimensionMismatch(f"vector has shape {arr.shape}, expected ({dim},)")
+    if not all(map(cmath.isfinite, arr.tolist())):  # cheaper than numpy for short vectors
+        raise RangeError(f"vector has non-finite entries: {arr}")
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out

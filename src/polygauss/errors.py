@@ -41,7 +41,8 @@ class ParseError(PolyGaussError):
     """Syntax error in the expression language, with source position.
 
     Attributes:
-        line, column: 1-based position of the offending token.
+        line, column: 1-based position of the offending token; 0 when the
+            error has no position in a source text.
         expected: tuple of token descriptions that would have been legal.
     """
 
@@ -49,7 +50,7 @@ class ParseError(PolyGaussError):
         self.line = line
         self.column = column
         self.expected = tuple(expected)
-        detail = f"{message} at {line}:{column}"
+        detail = f"{message} at {line}:{column}" if line else message
         if self.expected:
             detail += " (expected " + " | ".join(self.expected) + ")"
         super().__init__(detail)

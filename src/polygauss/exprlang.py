@@ -270,12 +270,7 @@ class _Parser:
             power = 1
             if self.peek().kind == "CARET":
                 self.advance()
-                ptok = self.expect("NUMBER", "integer exponent")
-                if ptok.value != int(ptok.value) or ptok.value < 0:
-                    raise ParseError(
-                        "monomial exponent must be a nonnegative integer", ptok.line, ptok.col
-                    )
-                power = int(ptok.value)
+                power = self.nonnegative_int("monomial exponent")
             if tok.value < 1:
                 raise ParseError("variable indices start at x1", tok.line, tok.col)
             return Monomial(pos, tok.value, power)
@@ -316,12 +311,16 @@ class _Parser:
         self.expect("X", "'x'")
         return DotApply(pos, vector)
 
-    def matrix_literal(self):
-        open_tok = self.expect("LBRACKET", "'['")
-        rows = [self.vector_literal(allow_complex=False)]
+    def comma_list(self, read):
+        values = [read()]
         while self.peek().kind == "COMMA":
             self.advance()
-            rows.append(self.vector_literal(allow_complex=False))
+            values.append(read())
+        return values
+
+    def matrix_literal(self):
+        open_tok = self.expect("LBRACKET", "'['")
+        rows = self.comma_list(lambda: self.vector_literal(allow_complex=False))
         self.expect("RBRACKET", "']'")
         if any(len(r) != len(rows) for r in rows):
             raise ParseError(
@@ -334,22 +333,20 @@ class _Parser:
 
     def vector_literal(self, allow_complex):
         self.expect("LBRACKET", "'['")
-        values = [self.element(allow_complex)]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            values.append(self.element(allow_complex))
+        values = self.comma_list(lambda: self.element(allow_complex))
         self.expect("RBRACKET", "']'")
         return values
 
-    def element(self, allow_complex):
-        sign = 1.0
+    def sign(self):
         if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1.0 if self.advance().kind == "MINUS" else 1.0
-        value = self.element_part(sign, allow_complex)
-        if allow_complex and value.imag == 0 and self.peek().kind in ("PLUS", "MINUS"):
-            sign2 = -1.0 if self.advance().kind == "MINUS" else 1.0
-            second = self.element_part(sign2, allow_complex=True)
-            if second.imag == 0:
+            return -1.0 if self.advance().kind == "MINUS" else 1.0
+        return 1.0
+
+    def element(self, allow_complex):
+        value, imaginary = self.element_part(self.sign(), allow_complex)
+        if allow_complex and not imaginary and self.peek().kind in ("PLUS", "MINUS"):
+            second, imaginary = self.element_part(self.sign(), allow_complex=True)
+            if not imaginary:
                 tok = self.peek()
                 raise ParseError(
                     "second part of a complex element must be imaginary", tok.line, tok.col
@@ -358,19 +355,22 @@ class _Parser:
         return value
 
     def element_part(self, sign, allow_complex):
+        """One signed number or imaginary number, and whether it was imaginary."""
         tok = self.peek()
-        if tok.kind == "I":
-            if not allow_complex:
-                raise ParseError("matrix entries must be real", tok.line, tok.col)
-            self.advance()
-            return sign * 1j
-        num = self.expect("NUMBER", "number")
-        if self.peek().kind == "I":
-            if not allow_complex:
-                raise ParseError("matrix entries must be real", tok.line, tok.col)
-            self.advance()
-            return sign * num.value * 1j
-        return complex(sign * num.value)
+        num = 1.0 if tok.kind == "I" else self.expect("NUMBER", "number").value
+        if self.peek().kind != "I":
+            return complex(sign * num), False
+        if not allow_complex:
+            raise ParseError("number must be real", tok.line, tok.col)
+        self.advance()
+        return sign * num * 1j, True
+
+    def nonnegative_int(self, description):
+        """A NUMBER token with an integral value; NUMBER tokens carry no sign."""
+        tok = self.expect("NUMBER", description)
+        if tok.value != int(tok.value):
+            raise ParseError(f"{description} must be a nonnegative integer", tok.line, tok.col)
+        return int(tok.value)
 
 
 def parse(text):
@@ -378,6 +378,30 @@ def parse(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     return _Parser(tokenize(text)).parse_expr()
+
+
+def parse_literal(text, kind, single=False):
+    """Read all of ``text`` as literal values of the language.
+
+    ``kind`` is ``"matrix"`` (a square matrix literal, returned as real
+    rows), ``"complex"`` or ``"real"`` (elements as in a vector literal,
+    comma separated, without brackets) or ``"index"`` (nonnegative
+    integers, as in a monomial exponent).  Returns the list of values, or
+    with ``single`` the one value.  Raises ParseError with its position in
+    ``text`` on anything else, trailing input included.
+    """
+    p = _Parser(tokenize(text))
+    if kind == "matrix":
+        value = p.matrix_literal()
+    else:
+        read = {
+            "complex": lambda: p.element(allow_complex=True),
+            "real": lambda: p.element(allow_complex=False).real,
+            "index": lambda: p.nonnegative_int("index"),
+        }[kind]
+        value = read() if single else p.comma_list(read)
+    p.expect("EOF", "end of input")
+    return value
 
 
 # ---------------------------------------------------------------------------

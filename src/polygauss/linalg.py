@@ -122,6 +122,8 @@ class LinearMap:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DimensionMismatch(f"linear map must be a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise SingularMap("linear map has non-finite entries")
         self.dim = a.shape[0]
         self.entries = _freeze(a)
         self.det = float(np.linalg.det(a))

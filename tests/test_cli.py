@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -274,3 +276,77 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(transform, "fourier_transform", broken)
     assert main(["ft", "exp(-pi*[[1]][x,x])"]) == 2
     assert capsys.readouterr().err.startswith("error[internal]: ZeroDivisionError")
+
+
+# ---------------------------------------------------------------------------
+# option values are read by the expression language's literal grammar
+
+
+UNIT = "exp(-pi*[[1]][x,x])"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["translate", "--a=nan", UNIT],
+        ["translate", "--a=1e400", UNIT],
+        ["modulate", "--b=nan", UNIT],
+        ["diff", "--alpha=-1", UNIT],
+        ["diff", "--alpha=1.5", UNIT],
+        ["compose", "--matrix=[[NaN]]", UNIT],
+        ["compose", '--matrix=[["a"]]', UNIT],
+        ["compose", "--matrix=[[1,2]]", UNIT],
+        ["sample", "--grid=nan:1:3", UNIT],
+        ["verify", "--rule=ft", "--tol=nan", UNIT],
+        ["verify", "--rule=ft", "--tol=-1", UNIT],
+    ],
+    ids=["a-nan", "a-overflow", "b-nan", "alpha-negative", "alpha-fraction",
+         "matrix-nan", "matrix-string", "matrix-not-square", "grid-nan",
+         "tol-nan", "tol-negative"],
+)
+def test_malformed_option_values_are_parse_errors(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[parse]")
+    assert captured.out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_option_values_use_literal_syntax(capsys):
+    outputs = []
+    for argv in (
+        ["translate", "--a=1+0i", UNIT],
+        ["translate", "--a", " 1 ", UNIT],
+        ["compose", "--matrix=[[1e0]]", UNIT],
+        ["compose", "--matrix=I", UNIT],
+        ["ft", UNIT],
+    ):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[2] == outputs[3] == outputs[4]
+
+    assert main(["modulate", "--b=-i,2.5e-1", "exp(-pi*[[1,0],[0,1]][x,x])"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["terms"][0]["shift"][0]["re"] == pytest.approx(-2 * math.pi)
+    assert doc["terms"][0]["shift"][1]["im"] == pytest.approx(-0.5 * math.pi)
+
+    assert main(["translate", "--a=1+2j", UNIT]) == 2
+    assert capsys.readouterr().err.startswith("error[parse]")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["ft", UNIT]) == 0
+    assert main(["integral", UNIT]) == 0
+    capsys.readouterr()
+    assert built == []

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,3 +356,20 @@ def test_translate_constant_out_of_range_raises():
     # exp(-pi * 400^2) underflows; the zero function would be wrong
     with pytest.raises(RangeError):
         gaussian_1d().translate([400.0])
+
+
+def test_non_finite_vectors_are_range_errors():
+    g = GaussPoly.standard(1)
+    with pytest.raises(RangeError):
+        GaussTerm(Polynomial.constant(1, 1.0), SpdForm([[1.0]]), [np.nan])
+    with pytest.raises(RangeError):
+        g.translate([np.inf])
+    with pytest.raises(RangeError):
+        g.modulate([np.nan])
+
+
+def test_non_finite_map_is_singular():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularMap):
+            GaussPoly.standard(1).compose_linear([[np.nan]])

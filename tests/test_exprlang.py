@@ -13,6 +13,7 @@ from polygauss import (
     lower,
     parse,
 )
+from polygauss.exprlang import parse_literal
 from polygauss.testing import random_gauss_poly, random_points
 
 
@@ -169,3 +170,16 @@ def test_format_random_functions_reparse(rng):
     printed = format_function(f, digits=17)
     again = roundtrip(printed)
     assert coefficient_distance(f, again) <= 1e-12
+
+
+def test_parse_literal_reads_option_values():
+    assert parse_literal("1+2i, -i,0.5", "complex") == [1 + 2j, -1j, 0.5]
+    assert parse_literal("1+0i", "complex", single=True) == 1
+    assert parse_literal("-2.5e-1", "real", single=True) == -0.25
+    assert parse_literal("2,0,1e1", "index") == [2, 0, 10]
+    assert parse_literal("[[1,-2],[3,4]]", "matrix") == [[1, -2], [3, 4]]
+    for text, kind in [("nan", "real"), ("1e400", "complex"), ("1,2", "real"),
+                       ("2i", "real"), ("-1", "index"), ("1.5", "index"),
+                       ("[[1,2]]", "matrix"), ("[[1]] x", "matrix"), ("", "complex")]:
+        with pytest.raises(ParseError):
+            parse_literal(text, kind, single=kind == "real")
