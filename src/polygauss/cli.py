@@ -7,6 +7,8 @@ existing path).  Option values are literals of the same language, read by
 elements (``1+2i,0``), ``--alpha`` nonnegative integers, ``--matrix`` a
 matrix literal (or ``I`` / ``-I``), grid bounds and ``--tol`` real numbers
 (``--tol`` > 0); ``nan``, ``inf`` and out-of-range numbers are not numbers.
+Sample grids above ``SAMPLE_MAX_POINTS`` points and ``--alpha`` above order
+``DIFF_MAX_ORDER`` are ``error[range]``, refused before any work on them.
 Results are written as canonical JSON, CSV or expression text.  Exit
 codes: 0 success, 1 verification failure, 2 usage or input errors, a
 malformed option value included (``error[parse]``).  Errors carry a
@@ -17,6 +19,7 @@ the dispatch are built from that table once per process.
 """
 
 import argparse
+import math
 import operator
 import os
 import sys
@@ -50,6 +53,9 @@ _ERROR_CODES = (
     (SpecRejected, "quadrature"),
     (RangeError, "range"),
 )
+
+SAMPLE_MAX_POINTS = 1 << 18  # over all axes: 512 x 512 in 2-D, 64^3 in 3-D
+DIFF_MAX_ORDER = 100
 
 _VERIFY_DEFAULT_TOL = {"ft": 1e-6, "conv": 1e-6, "plancherel": 1e-9, "deriv": 1e-6}
 
@@ -108,7 +114,20 @@ def _grid(text, flag="--grid"):
     steps = _read(flag, "index", parts[2], single=True)
     if steps < 1:
         raise ParseError(f"{flag} {text!r}: grid needs at least one step")
+    _check_grid_points(steps)
     return np.linspace(lo, hi, steps)
+
+
+def _check_grid_points(points):
+    if points > SAMPLE_MAX_POINTS:
+        raise RangeError(f"sample grid has {points} points, above the cap of {SAMPLE_MAX_POINTS}")
+
+
+def _alpha(text):
+    alpha = _read("--alpha", "index", text)
+    if sum(alpha) > DIFF_MAX_ORDER:
+        raise RangeError(f"--alpha {text!r}: order above the cap of {DIFF_MAX_ORDER}")
+    return alpha
 
 
 def _axis(text):
@@ -164,6 +183,7 @@ def _cmd_sample(args):
         grids[axis - 1] = grid
     if any(g is None for g in grids):
         raise ParseError("every axis needs a grid; pass --grid or --axis")
+    _check_grid_points(math.prod(len(g) for g in grids))
 
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -254,7 +274,7 @@ _COMMANDS = (
     ("ift", "inverse Fourier transform", _UNARY,
      _on_input(lambda f, a: transform.inverse_transform(f))),
     ("diff", "mixed partial derivative",
-     (_option("--alpha", partial(_read, "--alpha", "index"), "multi-index, e.g. 2,0"),
+     (_option("--alpha", _alpha, "multi-index, e.g. 2,0"),
       *_UNARY),
      _on_input(lambda f, a: f.differentiate(a.alpha))),
     ("translate", "shift the argument by a",

@@ -50,7 +50,21 @@ class SpdForm:
             raise SpdError("quadratic form is identically zero")
         if np.max(np.abs(a - a.T)) > 1e-12 * scale:
             raise SpdError("quadratic form matrix is not symmetric")
-        a = (a + a.T) / 2.0 + 0.0  # exact symmetry, no negative zeros
+        self._factor((a + a.T) / 2.0 + 0.0)  # exact symmetry, no negative zeros
+
+    @classmethod
+    def _certified(cls, a):
+        """The form of a sum or inverse of certified forms, which is square,
+        exactly symmetric and unshared by construction: it is kept uncopied
+        and only checked for finite entries (an inverse can overflow) and
+        factored with the pivot floor."""
+        if not np.isfinite(a).all():
+            raise SpdError("quadratic form has non-finite entries")
+        self = object.__new__(cls)
+        self._factor(a)
+        return self
+
+    def _factor(self, a):
         try:
             L = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
@@ -76,7 +90,8 @@ class SpdForm:
         """
         if self._inverse is None:
             li = np.linalg.inv(self.chol)
-            self._inverse = SpdForm(li.T @ li)
+            a = li.T @ li
+            self._inverse = SpdForm._certified((a + a.T) / 2.0 + 0.0)
             self._inverse._inverse = self
         return self._inverse
 
@@ -101,7 +116,7 @@ class SpdForm:
             return NotImplemented
         if other.dim != self.dim:
             raise DimensionMismatch("quadratic form dimensions differ")
-        return SpdForm(self.entries + other.entries)
+        return SpdForm._certified(self.entries + other.entries)
 
     def scaled(self, factor):
         if factor <= 0:

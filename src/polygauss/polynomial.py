@@ -3,14 +3,26 @@
 Coefficients are stored in a dict keyed by exponent tuples; zero
 coefficients are never stored.  An exponent of 0 on an axis means that
 axis contributes a factor 1.
+
+Affine substitution p(M x + c) eliminates the input variables one axis at
+a time in numpy passes: y_j^a becomes the multinomial expansion of the line
+c_j + M_j . x over that line's nonzero entries, and equal monomials merge
+before the next axis.  Steps that would need more than
+``SUBSTITUTION_CELL_CAP`` index cells in all raise RangeError before the
+step that crosses the cap allocates them.
 """
 
 import cmath
+import math
 
 import numpy as np
 
 from . import multiindex as mi
 from .errors import DimensionMismatch, RangeError
+
+# Index cells of the elimination steps of one substitution: a step that
+# expands into T terms of P summands each needs T (P + 8) cells of 8 bytes.
+SUBSTITUTION_CELL_CAP = 1 << 22
 
 
 class Polynomial:
@@ -141,9 +153,17 @@ class Polynomial:
 
         ``matrix`` is an n-by-n real or complex array (identity when None)
         and ``offset`` a length-n vector (zero when None).  Used for both
-        linear changes of variables and translations.  Each monomial's
-        image is its graded parent's image (one less on the first nonzero
-        axis) times one degree-1 line, so every image costs one product.
+        linear changes of variables and translations.  The input variables
+        are eliminated one axis at a time: y_j^a becomes the multinomial
+        expansion of (c_j + M_j . x)^a over the nonzero entries of that
+        line, and equal monomials are merged before the next axis.  So each
+        step is a few numpy passes over terms that can occur: a translation
+        or a diagonal map expands every variable alone, and an axis that
+        the support does not use costs nothing.  The index bookkeeping (the
+        plan) depends only on the support and on which entries of M and c
+        are zero; small plans are cached.  Raises RangeError when the steps
+        would need more than ``SUBSTITUTION_CELL_CAP`` index cells, or when
+        a multinomial coefficient is beyond the floating-point range.
         """
         n = self.dim
         matrix = np.eye(n) if matrix is None else np.asarray(matrix)
@@ -152,28 +172,22 @@ class Polynomial:
         offset = np.zeros(n) if offset is None else np.asarray(offset)
         if offset.shape != (n,):
             raise DimensionMismatch("substitution offset has wrong length")
-
-        # Degree-1 polynomial substituted for each variable.
-        zero = mi.zero(n)
-        lines = [
-            Polynomial(n, {zero: offset[j], **{mi.unit(n, k): matrix[j, k] for k in range(n)}})
-            for j in range(n)
-        ]
-        images = {zero: Polynomial._trusted(n, {zero: 1 + 0j})}
-
-        def image(alpha):
-            poly = images.get(alpha)
-            if poly is None:
-                axis = next(j for j, e in enumerate(alpha) if e)
-                parent = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
-                poly = images[alpha] = image(parent) * lines[axis]
-            return poly
-
-        out = {}
-        for alpha, c in self.coeffs.items():
-            for beta, v in image(alpha).coeffs.items():
-                out[beta] = out.get(beta, 0j) + c * v
-        return Polynomial._trusted(n, out)
+        # Row j of lines is the line c_j + M_j . x substituted for y_j.
+        lines = np.concatenate(
+            (offset[:, None], matrix), axis=1, dtype=np.result_type(offset, matrix, float)
+        )
+        steps, monomials = _plan(n, tuple(self.coeffs), (lines != 0).tobytes())
+        if not steps:  # a constant is its own image
+            return self
+        # One public-constructor call per substitution, through which traced
+        # runs see a substitution's index check.
+        Polynomial.constant(n, 1.0)
+        values = np.array(list(self.coeffs.values()))
+        for axis, terms, exponents, picks, multinomials, rows, which, starts in steps:
+            powers = lines[axis, terms][:, None] ** exponents
+            weights = multinomials * powers.take(picks).prod(axis=1)
+            values = np.add.reduceat(values[rows] * weights[which], starts)
+        return Polynomial._trusted(n, dict(zip(monomials, values.tolist())))
 
     def gaussian_smooth(self, sigma):
         """The Gaussian moment operator exp(1/2 grad . Sigma grad) applied to p.
@@ -254,3 +268,121 @@ class Polynomial:
                     mono *= pts[:, j] ** e
             out += mono
         return out
+
+
+_PLANS = {}  # (n, support, zero pattern of the lines) -> plan, oldest first
+# Only plans that expand into at most this many terms are kept, 64 at most,
+# so the cache stays small; larger plans are rebuilt on every call.
+_CACHED_PLAN_TERMS = 1 << 10
+
+
+def _plan(n, support, pattern):
+    key = (n, support, pattern)
+    plan = _PLANS.get(key)
+    if plan is None:
+        try:
+            with np.errstate(over="raise"):
+                plan = _eliminate(n, support, np.frombuffer(pattern, bool).reshape(n, n + 1))
+        except FloatingPointError:
+            raise RangeError("a multinomial coefficient is outside the floating-point range") from None
+        if plan[2] <= _CACHED_PLAN_TERMS:
+            _PLANS[key] = plan
+            if len(_PLANS) > 64:
+                del _PLANS[next(iter(_PLANS))]
+    return plan[:2]
+
+
+def _eliminate(n, support, pattern):
+    """The index bookkeeping of substitute_affine: its steps, the output
+    monomials, and the number of terms the steps expand into.
+
+    Rows of ``e`` are monomials in the input variables y (first n columns)
+    and the output variables x (last n).  Step j replaces y_j^a by the terms
+    of (c_j + M_j . x)^a, one per composition of a over the line's nonzero
+    ``terms``; ``picks`` locates each composition's powers in the step's
+    table of powers.  ``rows`` and ``which`` give each expanded term's source
+    row and composition, sorted by the resulting monomial, whose groups begin
+    at ``starts``.  Monomials are compared by their mixed-radix integer key
+    ``e @ radix``, never expanded to full rows.
+    """
+    e = np.zeros((len(support), 2 * n), dtype=np.int64)
+    e[:, :n] = np.reshape(support, (-1, n))
+    steps, expanded, cells = [], 0, 0
+    for j in range(n):
+        a = e[:, j].copy()
+        if not a.any():
+            continue
+        terms = np.flatnonzero(pattern[j])  # 0 is c_j, 1 + k is M_jk
+        parts, top = len(terms), int(a.max())
+        present = np.flatnonzero(np.bincount(a))
+        sizes = [math.comb(t + parts - 1, t) if parts else int(t == 0) for t in present.tolist()]
+        _check_cells(cells + max(sizes) * (parts + 8))
+        counts, first = np.zeros((2, top + 1), dtype=np.int64)
+        counts[present] = sizes
+        first[present] = np.cumsum(sizes) - sizes
+        counts = counts[a]
+        total = int(counts.sum())
+        cells = _check_cells(cells + total * (parts + 8))
+        comps, multinomials = _compositions(present, parts)
+        e[:, j] = 0
+        x_terms = terms[terms > 0]
+        x_parts = comps[:, terms > 0]
+        # Each column's largest possible exponent, as the digit bases of keys.
+        bases = e.max(axis=0) + 1
+        bases[n - 1 + x_terms] += top
+        radix = [1]
+        for base in bases.tolist()[:-1]:
+            radix.append(radix[-1] * base)
+        radix = np.array(radix, dtype=np.int64 if radix[-1] * int(bases[-1]) < 1 << 63 else object)
+        rows, rank = _spread(counts)
+        which = first[a][rows] + rank
+        key = (e @ radix)[rows] + (x_parts @ radix[n - 1 + x_terms])[which]
+        order = np.argsort(key)
+        key = key[order]
+        fresh = np.ones(len(key), dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(fresh)
+        heads = order[starts]
+        e = e[rows[heads]]
+        e[:, n - 1 + x_terms] += x_parts[which[heads]]
+        steps.append((j, terms, np.arange(top + 1), comps + np.arange(parts) * (top + 1),
+                      multinomials, rows[order], which[order], starts))
+        expanded += total
+    return steps, [tuple(m) for m in e[:, n:].tolist()], expanded
+
+
+def _spread(counts):
+    """The owner i of each of sum(counts) slots, and its rank among the
+    counts[i] slots of i."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _compositions(totals, parts):
+    """Every way to write each t of ``totals`` as an ordered sum of ``parts``
+    nonnegative integers: the summands (a row each, grouped by t in order)
+    and their multinomial coefficients t! / prod(summands!)."""
+    left = np.asarray(totals, dtype=np.int64)
+    columns, multinomials = [], np.ones(len(totals))
+    # Pascal's triangle, row r from r (r + 1) / 2 on, for C(left, part).
+    rows = [np.ones(1)]
+    for _ in range(int(left.max()) if parts > 1 else 0):
+        rows.append(np.concatenate(([1.0], rows[-1][1:] + rows[-1][:-1], [1.0])))
+    pascal = np.concatenate(rows)
+    for _ in range(parts - 1):
+        pick, part = _spread(left + 1)
+        left = left[pick]
+        multinomials = multinomials[pick] * pascal[left * (left + 1) // 2 + part]
+        columns = [c[pick] for c in columns] + [part]
+        left = left - part
+    if not parts:  # only 0 is an empty sum
+        multinomials = multinomials[left == 0]
+        return np.zeros((len(multinomials), 0), dtype=np.int64), multinomials
+    return np.stack(columns + [left], axis=1), multinomials
+
+
+def _check_cells(cells):
+    """``cells``, if the steps so far fit under SUBSTITUTION_CELL_CAP."""
+    if cells > SUBSTITUTION_CELL_CAP:
+        raise RangeError(f"substitution needs {cells} index cells, above the cap")
+    return cells

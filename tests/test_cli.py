@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ from polygauss import (
     function_from_json,
     function_to_json,
 )
-from polygauss.cli import main
+from polygauss.cli import DIFF_MAX_ORDER, SAMPLE_MAX_POINTS, main
 from polygauss.testing import random_gauss_poly
 
 
@@ -350,3 +351,36 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert main(["integral", UNIT]) == 0
     capsys.readouterr()
     assert built == []
+
+
+UNIT_2D = "exp(-pi*[[1,0],[0,1]][x,x])"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", f"--grid=0:1:{SAMPLE_MAX_POINTS + 1}", UNIT],
+        ["sample", f"--axis=1=0:1:{SAMPLE_MAX_POINTS + 1}", UNIT],
+        ["sample", f"--grid=0:1:{math.isqrt(SAMPLE_MAX_POINTS) + 1}", UNIT_2D],
+        ["diff", f"--alpha={DIFF_MAX_ORDER + 1}", UNIT],
+        ["diff", f"--alpha={DIFF_MAX_ORDER // 2},{DIFF_MAX_ORDER - DIFF_MAX_ORDER // 2 + 1}",
+         UNIT_2D],
+        # x1^127 under a map whose first row has four entries: 357,760 terms.
+        ["compose", "--matrix=[[1,1,1,1],[0,1,1,1],[0,0,1,1],[0,0,0,1]]",
+         "x1^127*exp(-pi*[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]][x,x])"],
+    ],
+    ids=["grid-steps", "axis-steps", "grid-total-2d", "alpha-order", "alpha-order-2d",
+         "substitution-terms"],
+)
+def test_sizes_above_the_caps_are_range_errors(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error[range]")
+    assert captured.out == ""
+    assert peak < 1_000_000  # refused before the grid, derivative or expansion is built

@@ -74,3 +74,33 @@ def test_inverse_transpose():
     t = LinearMap([[2.0, 1.0], [0.0, 1.0]])
     tilde = t.inverse_transpose()
     assert np.allclose(tilde.entries, np.linalg.inv(t.entries).T)
+
+
+def test_sum_and_inverse_are_certified_without_revalidation(rng, monkeypatch):
+    a = random_spd_form(rng, 3, eig_range=(0.5, 5.0))
+    b = random_spd_form(rng, 3, eig_range=(0.5, 5.0))
+    checked = SpdForm(a.entries + b.entries)
+    li = np.linalg.inv(a.chol)
+    checked_inverse = SpdForm(li.T @ li)
+    constructions = []
+    original = SpdForm.__init__
+
+    def counting(self, entries):
+        constructions.append(entries)
+        original(self, entries)
+
+    monkeypatch.setattr(SpdForm, "__init__", counting)
+    total = a + b
+    inverse = a.inverse()
+    assert constructions == []
+    for fast, slow in ((total, checked), (inverse, checked_inverse)):
+        assert np.array_equal(fast.entries, slow.entries)
+        assert np.array_equal(fast.chol, slow.chol)
+        assert fast.det == slow.det
+        assert not fast.entries.flags.writeable
+
+
+def test_overflowing_inverse_is_rejected():
+    tiny = SpdForm([[1e-310]])
+    with pytest.raises(SpdError), np.errstate(over="ignore"):
+        tiny.inverse()

@@ -23,7 +23,14 @@ from polygauss import (
     transform_rules_check,
 )
 from polygauss.quadrature import grid
-from polygauss.testing import random_gauss_poly, random_orthogonal, random_points
+from polygauss import multiindex as mi
+from polygauss.testing import (
+    random_gauss_poly,
+    random_orthogonal,
+    random_points,
+    random_shift,
+    random_spd_form,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +157,21 @@ def test_complex_shift_integral():
 def test_odd_integrand_vanishes():
     f = GaussPoly.standard(1).monomial_times((1,))
     assert abs(integral(f)) <= 1e-15
+
+
+def test_round_trip_and_plancherel_at_degree_twelve_in_three_dimensions(rng):
+    # Every monomial of degree <= 12 in 3-D: 455 coefficients.  Plancherel is
+    # checked in its polarized form <f, g> = <Ff, Fg> against a low-degree g,
+    # which keeps the products small.
+    coeffs = {a: complex(rng.normal(), rng.normal()) for a in mi.indices_up_to(3, 12)}
+    quad = random_spd_form(rng, 3, (0.7, 1.5))
+    f = GaussPoly.from_term(Polynomial(3, coeffs), quad, random_shift(rng, 3, 0.5))
+    g = random_gauss_poly(rng, 3, n_terms=2, max_degree=2, eig_range=(0.7, 1.5))
+    fhat = fourier_transform(f)
+    largest = max(abs(c) for c in f.terms[0].poly.coeffs.values())
+    assert coefficient_distance(inverse_transform(fhat), f) <= 1e-9 * largest
+    lhs = inner_product(f, g)
+    assert abs(inner_product(fhat, fourier_transform(g)) - lhs) <= 1e-9 * abs(lhs)
 
 
 def _count_calls(monkeypatch, name):
