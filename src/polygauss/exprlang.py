@@ -49,20 +49,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_SYMBOL_KINDS = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    ".": "DOT",
-}
-
-
 class Token:
     __slots__ = ("kind", "value", "line", "col")
 
@@ -90,15 +76,12 @@ def tokenize(text):
                 if not math.isfinite(value):
                     raise ParseError(f"number {lexeme} is out of range", line, col)
                 tokens.append(Token("NUMBER", value, line, col))
-            elif m.lastgroup == "name":
-                if lexeme in ("exp", "pi", "i", "x"):
-                    tokens.append(Token(lexeme.upper(), lexeme, line, col))
-                elif lexeme[0] == "x" and lexeme[1:].isdigit():
-                    tokens.append(Token("XVAR", int(lexeme[1:]), line, col))
-                else:
-                    raise ParseError(f"unknown name {lexeme!r}", line, col)
+            elif lexeme[0] == "x" and lexeme[1:].isdigit():
+                tokens.append(Token("XVAR", int(lexeme[1:]), line, col))
+            elif m.lastgroup == "sym" or lexeme in ("exp", "pi", "i", "x"):
+                tokens.append(Token(lexeme, lexeme, line, col))  # its own kind
             else:
-                tokens.append(Token(_SYMBOL_KINDS[lexeme], lexeme, line, col))
+                raise ParseError(f"unknown name {lexeme!r}", line, col)
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -143,18 +126,6 @@ class Scalar(Node):
     def __init__(self, pos, value):
         super().__init__(pos)
         self.value = complex(value)
-
-
-class Const(Node):
-    __slots__ = ("name",)
-
-    def __init__(self, pos, name):
-        super().__init__(pos)
-        self.name = name  # "pi" or "i"
-
-    @property
-    def value(self):
-        return complex(math.pi) if self.name == "pi" else 1j
 
 
 class Monomial(Node):
@@ -232,20 +203,15 @@ class _Parser:
 
     def sum(self, in_exp):
         start = self.peek()
-        parts = []
-        sign = 1
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1 if self.advance().kind == "MINUS" else 1
-        parts.append((sign, self.product(in_exp)))
-        while self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1 if self.advance().kind == "MINUS" else 1
-            parts.append((sign, self.product(in_exp)))
+        parts = [(self.sign(), self.product(in_exp))]
+        while self.peek().kind in ("+", "-"):
+            parts.append((self.sign(), self.product(in_exp)))
         return Sum((start.line, start.col), parts)
 
     def product(self, in_exp):
         start = self.peek()
         factors = [self.factor(in_exp)]
-        while self.peek().kind == "STAR":
+        while self.peek().kind == "*":
             self.advance()
             factors.append(self.factor(in_exp))
         return Product((start.line, start.col), factors)
@@ -253,39 +219,32 @@ class _Parser:
     def factor(self, in_exp):
         tok = self.peek()
         pos = (tok.line, tok.col)
-        if tok.kind == "NUMBER":
+        if tok.kind in ("NUMBER", "i"):
+            return Scalar(pos, self.element_part(1.0, allow_complex=True)[0])
+        if tok.kind == "pi":
             self.advance()
-            if self.peek().kind == "I":
-                self.advance()
-                return Scalar(pos, tok.value * 1j)
-            return Scalar(pos, tok.value)
-        if tok.kind == "I":
-            self.advance()
-            return Const(pos, "i")
-        if tok.kind == "PI":
-            self.advance()
-            return Const(pos, "pi")
+            return Scalar(pos, math.pi)
         if tok.kind == "XVAR":
             self.advance()
             power = 1
-            if self.peek().kind == "CARET":
+            if self.peek().kind == "^":
                 self.advance()
                 power = self.nonnegative_int("monomial exponent")
             if tok.value < 1:
                 raise ParseError("variable indices start at x1", tok.line, tok.col)
             return Monomial(pos, tok.value, power)
-        if tok.kind == "EXP":
+        if tok.kind == "exp":
             self.advance()
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             arg = self.sum(in_exp=True)
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return ExpNode(pos, arg)
-        if tok.kind == "LPAREN" and not in_exp:
+        if tok.kind == "(" and not in_exp:
             self.advance()
             inner = self.sum(in_exp=False)
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return inner
-        if tok.kind == "LBRACKET" and in_exp:
+        if tok.kind == "[" and in_exp:
             return self.bracket_literal()
         expected = ["number", "'pi'", "'i'", "'exp('"]
         expected.append("matrix or vector literal" if in_exp else "'x<k>'")
@@ -298,30 +257,30 @@ class _Parser:
     def bracket_literal(self):
         tok = self.peek()
         pos = (tok.line, tok.col)
-        if self.peek(1).kind == "LBRACKET":
+        if self.peek(1).kind == "[":
             matrix = self.matrix_literal()
-            self.expect("LBRACKET", "'[x,x]'")
-            self.expect("X", "'x'")
-            self.expect("COMMA", "','")
-            self.expect("X", "'x'")
-            self.expect("RBRACKET", "']'")
+            self.expect("[", "'[x,x]'")
+            self.expect("x", "'x'")
+            self.expect(",", "','")
+            self.expect("x", "'x'")
+            self.expect("]", "']'")
             return QuadApply(pos, matrix)
         vector = self.vector_literal(allow_complex=True)
-        self.expect("DOT", "'.x'")
-        self.expect("X", "'x'")
+        self.expect(".", "'.x'")
+        self.expect("x", "'x'")
         return DotApply(pos, vector)
 
     def comma_list(self, read):
         values = [read()]
-        while self.peek().kind == "COMMA":
+        while self.peek().kind == ",":
             self.advance()
             values.append(read())
         return values
 
     def matrix_literal(self):
-        open_tok = self.expect("LBRACKET", "'['")
+        open_tok = self.expect("[", "'['")
         rows = self.comma_list(lambda: self.vector_literal(allow_complex=False))
-        self.expect("RBRACKET", "']'")
+        self.expect("]", "']'")
         if any(len(r) != len(rows) for r in rows):
             raise ParseError(
                 f"matrix literal must be square, got rows of lengths "
@@ -332,19 +291,19 @@ class _Parser:
         return [[v.real for v in row] for row in rows]
 
     def vector_literal(self, allow_complex):
-        self.expect("LBRACKET", "'['")
+        self.expect("[", "'['")
         values = self.comma_list(lambda: self.element(allow_complex))
-        self.expect("RBRACKET", "']'")
+        self.expect("]", "']'")
         return values
 
     def sign(self):
-        if self.peek().kind in ("PLUS", "MINUS"):
-            return -1.0 if self.advance().kind == "MINUS" else 1.0
+        if self.peek().kind in ("+", "-"):
+            return -1.0 if self.advance().kind == "-" else 1.0
         return 1.0
 
     def element(self, allow_complex):
         value, imaginary = self.element_part(self.sign(), allow_complex)
-        if allow_complex and not imaginary and self.peek().kind in ("PLUS", "MINUS"):
+        if allow_complex and not imaginary and self.peek().kind in ("+", "-"):
             second, imaginary = self.element_part(self.sign(), allow_complex=True)
             if not imaginary:
                 tok = self.peek()
@@ -357,8 +316,8 @@ class _Parser:
     def element_part(self, sign, allow_complex):
         """One signed number or imaginary number, and whether it was imaginary."""
         tok = self.peek()
-        num = 1.0 if tok.kind == "I" else self.expect("NUMBER", "number").value
-        if self.peek().kind != "I":
+        num = 1.0 if tok.kind == "i" else self.expect("NUMBER", "number").value
+        if self.peek().kind != "i":
             return complex(sign * num), False
         if not allow_complex:
             raise ParseError("number must be real", tok.line, tok.col)
@@ -418,7 +377,7 @@ def evaluate_ast(node, point):
         for child in node.factors:
             out *= evaluate_ast(child, z)
         return out
-    if isinstance(node, (Scalar, Const)):
+    if isinstance(node, Scalar):
         return node.value
     if isinstance(node, Monomial):
         if node.index > z.shape[0]:
@@ -471,17 +430,12 @@ class _Piece:
         self.equad = equad  # complex (n, n) or None if no exp factor yet
         self.elin = elin  # complex (n,) or None
 
-    def times(self, other, dim):
+    def times(self, other):
         poly = self.poly * other.poly
-        if self.equad is None and other.equad is None:
+        present = [piece for piece in (self, other) if piece.equad is not None]
+        if not present:
             return _Piece(poly)
-        equad = np.zeros((dim, dim), dtype=complex)
-        elin = np.zeros(dim, dtype=complex)
-        for piece in (self, other):
-            if piece.equad is not None:
-                equad = equad + piece.equad
-                elin = elin + piece.elin
-        return _Piece(poly, equad, elin)
+        return _Piece(poly, sum(p.equad for p in present), sum(p.elin for p in present))
 
 
 def _lower_exp_arg(arg, dim):
@@ -494,7 +448,7 @@ def _lower_exp_arg(arg, dim):
         coeff = complex(sign)
         structural = None
         for fac in factors:
-            if isinstance(fac, (Scalar, Const)):
+            if isinstance(fac, Scalar):
                 coeff *= fac.value
             elif isinstance(fac, (QuadApply, DotApply)):
                 if structural is not None:
@@ -545,9 +499,9 @@ def _lower_node(node, dim):
         pieces = _lower_node(node.factors[0], dim)
         for child in node.factors[1:]:
             nxt = _lower_node(child, dim)
-            pieces = [a.times(b, dim) for a in pieces for b in nxt]
+            pieces = [a.times(b) for a in pieces for b in nxt]
         return pieces
-    if isinstance(node, (Scalar, Const)):
+    if isinstance(node, Scalar):
         return [_Piece(Polynomial.constant(dim, node.value))]
     if isinstance(node, Monomial):
         if node.index > dim:
@@ -616,15 +570,11 @@ def format_complex(z, digits=6):
     z = complex(z)
     if z.imag == 0:
         return format_number(z.real, digits)
-    if z.real == 0:
-        mag = format_number(abs(z.imag), digits)
-        imag = "i" if mag == "1" else mag + "i"
-        return imag if z.imag > 0 else "-" + imag
-    re_part = format_number(z.real, digits)
     mag = format_number(abs(z.imag), digits)
-    imag = "i" if mag == "1" else mag + "i"
-    joiner = "+" if z.imag > 0 else "-"
-    return f"{re_part}{joiner}{imag}"
+    imag = ("+" if z.imag > 0 else "-") + ("i" if mag == "1" else mag + "i")
+    if z.real == 0:
+        return imag.lstrip("+")
+    return format_number(z.real, digits) + imag
 
 
 def _format_monomial(alpha):
@@ -637,22 +587,32 @@ def _format_monomial(alpha):
     return "*".join(parts)
 
 
-def _split_sign(z):
-    """Pull a leading minus out of a real or pure-imaginary scalar."""
-    z = complex(z)
-    if z.imag == 0 and z.real < 0:
-        return -1, -z
-    if z.real == 0 and z.imag < 0:
-        return -1, -z
-    return 1, z
-
-
-def _format_coeff_factor(z, digits):
-    """Scalar as a product factor, parenthesized when it mixes re and im."""
-    z = complex(z)
+def _signed_piece(alpha, c, digits, tail=()):
+    """(sign, text) of c * x^alpha * tail.  The minus of a real or
+    pure-imaginary c is pulled out, a c that mixes both is parenthesized,
+    and a unit coefficient is left out unless it is the whole piece."""
+    z = complex(c)
+    negative = (z.imag == 0 and z.real < 0) or (z.real == 0 and z.imag < 0)
+    z = -z if negative else z
+    coeff = format_complex(z, digits)
     if z.imag != 0 and z.real != 0:
-        return "(" + format_complex(z, digits) + ")"
-    return format_complex(z, digits)
+        coeff = f"({coeff})"
+    factors = [f for f in (_format_monomial(alpha), *tail) if f]
+    if coeff != "1" or not factors:
+        factors.insert(0, coeff)
+    return -1 if negative else 1, "*".join(factors)
+
+
+def _signed_sum(pieces):
+    """Join (sign, text) pieces: a leading '-' only if the first is
+    negative, then '+ ' or '- ' before each further piece."""
+    out = []
+    for k, (sign, text) in enumerate(pieces):
+        if k == 0:
+            out.append(text if sign > 0 else f"-{text}")
+        else:
+            out.append(("+ " if sign > 0 else "- ") + text)
+    return " ".join(out)
 
 
 def _format_exponent(term, digits):
@@ -677,38 +637,8 @@ def format_function(f, digits=6):
         expo = _format_exponent(term, digits)
         items = term.poly.items_graded()
         if len(items) == 1:
-            alpha, c = items[0]
-            sign, mag = _split_sign(c)
-            mono = _format_monomial(alpha)
-            coeff = _format_coeff_factor(mag, digits)
-            if coeff == "1":
-                body = f"{mono}*{expo}" if mono else expo
-            elif mono:
-                body = f"{coeff}*{mono}*{expo}"
-            else:
-                body = f"{coeff}*{expo}"
-            rendered.append((sign, body))
+            rendered.append(_signed_piece(*items[0], digits, (expo,)))
         else:
-            inner = []
-            for pos_k, (alpha, c) in enumerate(items):
-                sign, mag = _split_sign(c)
-                mono = _format_monomial(alpha)
-                coeff = _format_coeff_factor(mag, digits)
-                if coeff == "1" and mono:
-                    piece = mono
-                elif mono:
-                    piece = f"{coeff}*{mono}"
-                else:
-                    piece = coeff
-                if pos_k == 0:
-                    inner.append(piece if sign > 0 else f"-{piece}")
-                else:
-                    inner.append(("+ " if sign > 0 else "- ") + piece)
-            rendered.append((1, "(" + " ".join(inner) + ")*" + expo))
-    out = []
-    for k, (sign, body) in enumerate(rendered):
-        if k == 0:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(("+ " if sign > 0 else "- ") + body)
-    return " ".join(out)
+            inner = _signed_sum([_signed_piece(alpha, c, digits) for alpha, c in items])
+            rendered.append((1, f"({inner})*{expo}"))
+    return _signed_sum(rendered)

@@ -50,7 +50,8 @@ class SpdForm:
             raise SpdError("quadratic form is identically zero")
         if np.max(np.abs(a - a.T)) > 1e-12 * scale:
             raise SpdError("quadratic form matrix is not symmetric")
-        self._factor((a + a.T) / 2.0 + 0.0)  # exact symmetry, no negative zeros
+        # exact symmetry, no negative zeros; halved first, so no entry overflows
+        self._factor(a / 2.0 + a.T / 2.0 + 0.0)
 
     @classmethod
     def _certified(cls, a):
@@ -91,7 +92,7 @@ class SpdForm:
         if self._inverse is None:
             li = np.linalg.inv(self.chol)
             a = li.T @ li
-            self._inverse = SpdForm._certified((a + a.T) / 2.0 + 0.0)
+            self._inverse = SpdForm._certified(a / 2.0 + a.T / 2.0 + 0.0)
             self._inverse._inverse = self
         return self._inverse
 

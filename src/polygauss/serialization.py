@@ -34,18 +34,13 @@ def format_float(x):
     return format(x, ".17g")
 
 
-def _complex_obj(z):
-    return '{"re":%s,"im":%s}' % (format_float(z.real), format_float(z.imag))
-
-
-def _poly_json(poly):
-    items = []
-    for alpha, c in poly.items_graded():
-        items.append(
-            '{"alpha":[%s],"re":%s,"im":%s}'
-            % (",".join(str(a) for a in alpha), format_float(c.real), format_float(c.imag))
-        )
-    return "[" + ",".join(items) + "]"
+def _coeffs_json(key, items):
+    """The list [{"<key>":[ints],"re":..,"im":..}, ...] of (multi-index, coefficient) items."""
+    return "[" + ",".join(
+        '{"%s":[%s],"re":%s,"im":%s}'
+        % (key, ",".join(str(a) for a in alpha), format_float(c.real), format_float(c.imag))
+        for alpha, c in items
+    ) + "]"
 
 
 def _matrix_json(entries):
@@ -56,7 +51,7 @@ def _matrix_json(entries):
 
 
 def _vector_json(vec):
-    return "[" + ",".join(_complex_obj(complex(v)) for v in vec) + "]"
+    return "[" + ",".join(complex_to_json(v) for v in vec) + "]"
 
 
 def function_to_json(f):
@@ -64,29 +59,25 @@ def function_to_json(f):
     fc = f.canonical()
     terms = []
     for t in fc.terms:
+        poly = _coeffs_json("alpha", t.poly.items_graded())
         terms.append(
             '{"poly":%s,"quad":%s,"shift":%s}'
-            % (_poly_json(t.poly), _matrix_json(t.quad.entries), _vector_json(t.shift))
+            % (poly, _matrix_json(t.quad.entries), _vector_json(t.shift))
         )
     return '{"dim":%d,"terms":[%s]}' % (fc.dim, ",".join(terms))
 
 
 def complex_to_json(z):
     z = complex(z)
-    return _complex_obj(z)
+    return '{"re":%s,"im":%s}' % (format_float(z.real), format_float(z.imag))
 
 
 def expansion_to_json(expansion):
-    items = []
-    for beta, c in sorted(expansion.coeffs.items(), key=lambda kv: mi.grlex_key(kv[0])):
-        items.append(
-            '{"beta":[%s],"re":%s,"im":%s}'
-            % (",".join(str(b) for b in beta), format_float(c.real), format_float(c.imag))
-        )
-    return '{"quad":%s,"shift":%s,"coeffs":[%s]}' % (
+    items = sorted(expansion.coeffs.items(), key=lambda kv: mi.grlex_key(kv[0]))
+    return '{"quad":%s,"shift":%s,"coeffs":%s}' % (
         _matrix_json(expansion.quad.entries),
         _vector_json(expansion.shift),
-        ",".join(items),
+        _coeffs_json("beta", items),
     )
 
 

@@ -11,9 +11,10 @@ expectation:
 
 with const = det(Q)^(-1/2) exp(b . Q^(-1) b / (4 pi)), Sigma = Q^(-1) / 2 pi
 and H_Sigma = exp(1/2 grad . Sigma grad) the moment operator of
-:meth:`Polynomial.gaussian_smooth`.  Everything downstream (inversion,
-convolution, integrals, inner products) reduces to this term rule; an
-integral is its value at xi = 0, one polynomial evaluation per term.
+:meth:`Polynomial.gaussian_smooth`.  Everything downstream (inversion, the
+same rule with +i for -i, convolution, integrals, inner products) reduces
+to this term rule; an integral is its value at xi = 0, one polynomial
+evaluation per term.
 """
 
 import cmath
@@ -33,7 +34,6 @@ from .core import (
 )
 from .errors import DimensionMismatch, RangeError
 from .linalg import LinearMap
-from .polynomial import Polynomial
 
 
 def _moments(term):
@@ -47,17 +47,13 @@ def _moments(term):
     return const, qinv, center, term.poly.gaussian_smooth(qinv.entries / (2.0 * math.pi))
 
 
-def _transform_term(term):
-    """The transform of one term: one term at the transformed key."""
+def _transform_term(term, sign=-1):
+    """The transform of one term, one term at the transformed key: the
+    forward one with sign -1, the inverse (kernel exp(+2 pi i x . xi))
+    with sign +1."""
     const, qinv, center, smooth = _moments(term)
-    poly = smooth.substitute_affine(-1j * qinv.entries, center) * const
-    return GaussTerm(poly, qinv, -2j * math.pi * center)
-
-
-def _reflect(term):
-    """The term of x |-> f(-x): odd monomials and the shift change sign."""
-    poly = {a: -c if mi.degree(a) % 2 else c for a, c in term.poly.coeffs.items()}
-    return GaussTerm(Polynomial._trusted(term.dim, poly), term.quad, -term.shift)
+    poly = smooth.substitute_affine(sign * 1j * qinv.entries, center) * const
+    return GaussTerm(poly, qinv, sign * 2j * math.pi * center)
 
 
 def fourier_transform(f):
@@ -65,13 +61,10 @@ def fourier_transform(f):
     return GaussPoly(f.dim, [_transform_term(t) for t in f.terms]).canonical()
 
 
-def _inverse_terms(terms):
-    return [_reflect(_transform_term(t)) for t in terms]
-
-
 def inverse_transform(g):
-    """The inverse transform, realized as argument negation of the forward one."""
-    return GaussPoly(g.dim, _inverse_terms(g.terms)).canonical()
+    """The inverse transform, by the term rule of the forward one at the
+    opposite sign of the kernel."""
+    return GaussPoly(g.dim, [_transform_term(t, 1) for t in g.terms]).canonical()
 
 
 def _integral_of_terms(terms):
@@ -105,7 +98,7 @@ def convolve(f, g):
     spectral = product_terms(
         [_transform_term(t) for t in f.terms], [_transform_term(t) for t in g.terms]
     )
-    return GaussPoly(f.dim, _inverse_terms(spectral)).canonical()
+    return GaussPoly(f.dim, [_transform_term(t, 1) for t in spectral]).canonical()
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,26 @@ def test_out_of_range_values_are_range_errors(capsys, argv):
     assert captured.out == ""
 
 
+UNIT_3D = "exp(-pi*[[1,0,0],[0,1,0],[0,0,1]][x,x])"
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        ("dim", ["mul", "exp(-pi*[[1]][x,x])", "exp(-pi*[[1,0],[0,1]][x,x])"]),
+        ("singular", ["compose", "--matrix=[[0]]", "exp(-pi*[[1]][x,x])"]),
+        ("solve", ["to-deriv-basis", "x1^4*exp(-pi*[[1,0],[0,1e-4]][x,x])"]),
+        ("quadrature", ["verify", "--rule", "conv", UNIT_3D, UNIT_3D]),
+        ("io", ["ft", "exp(-pi*[[1]][x,x])", "-o", "{tmp}/no-such-dir/out.json"]),
+    ],
+)
+def test_each_error_class_reports_its_code(tmp_path, capsys, code, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error[{code}]")
+    assert captured.out == ""
+
+
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     from polygauss import transform
 

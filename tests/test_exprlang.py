@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from polygauss import (
     DimensionMismatch,
     GaussPoly,
+    GaussTerm,
     ParseError,
+    Polynomial,
     SpdError,
+    SpdForm,
     coefficient_distance,
     evaluate_ast,
     format_function,
@@ -183,3 +187,77 @@ def test_parse_literal_reads_option_values():
                        ("[[1,2]]", "matrix"), ("[[1]] x", "matrix"), ("", "complex")]:
         with pytest.raises(ParseError):
             parse_literal(text, kind, single=kind == "real")
+
+
+# ---------------------------------------------------------------------------
+# golden output: printed forms and parse errors, byte for byte
+
+
+UNIT_EXP = "exp(-pi*[[1]][x,x])"
+
+
+@pytest.mark.parametrize(
+    "coeff, printed",
+    [
+        (1, ["", "x1*", "x1^3*"]),
+        (-1, ["-", "-x1*", "-x1^3*"]),
+        (1j, ["i*", "i*x1*", "i*x1^3*"]),
+        (-1j, ["-i*", "-i*x1*", "-i*x1^3*"]),
+        (2.5, ["2.5*", "2.5*x1*", "2.5*x1^3*"]),
+        (-2.5, ["-2.5*", "-2.5*x1*", "-2.5*x1^3*"]),
+        (1 + 2j, ["(1+2i)*", "(1+2i)*x1*", "(1+2i)*x1^3*"]),
+        (-1 - 2j, ["(-1-2i)*", "(-1-2i)*x1*", "(-1-2i)*x1^3*"]),
+    ],
+)
+def test_format_special_coefficients(coeff, printed):
+    for power, prefix in zip((0, 1, 3), printed):
+        term = GaussTerm(Polynomial(1, {(power,): coeff}), SpdForm([[1.0]]), np.zeros(1))
+        assert format_function(GaussPoly(1, [term])) == prefix + UNIT_EXP
+
+
+def test_format_signed_sums_inside_and_between_terms():
+    poly = Polynomial(1, {(0,): 1j, (1,): -1, (3,): -2 - 0.5j, (2,): 1})
+    f = GaussPoly(1, [GaussTerm(poly, SpdForm([[1.0]]), np.array([0.5 - 1j]))])
+    assert format_function(f) == (
+        "(i - x1 + x1^2 + (-2-0.5i)*x1^3)*exp(-pi*[[1]][x,x] + [0.5-i].x)"
+    )
+    g = GaussPoly(1, [
+        GaussTerm(Polynomial(1, {(0,): -1j}), SpdForm([[1.0]]), np.zeros(1)),
+        GaussTerm(Polynomial(1, {(0,): -1, (1,): 1}), SpdForm([[2.0]]), np.array([1j])),
+    ])
+    for digits in (6, 17):
+        assert format_function(g, digits) == (
+            "-i*exp(-pi*[[1]][x,x]) + (-1 + x1)*exp(-pi*[[2]][x,x] + [i].x)"
+        )
+
+
+ANY_FACTOR = "(expected number | 'pi' | 'i' | 'exp(' | 'x<k>' | '(')"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("", f"unexpected end of input at 1:1 {ANY_FACTOR}", 1, 1),
+        ("2*+x1", f"unexpected '+' at 1:3 {ANY_FACTOR}", 1, 3),
+        ("foo(x1)", "unknown name 'foo' at 1:1", 1, 1),
+        ("exp(-pi*[[1]][x,x]", "unexpected end of input at 1:19 (expected ')')", 1, 19),
+        ("x1^-1", "unexpected '-' at 1:4 (expected monomial exponent)", 1, 4),
+        ("x1^1.5", "monomial exponent must be a nonnegative integer at 1:4", 1, 4),
+        ("x0", "variable indices start at x1 at 1:1", 1, 1),
+        ("exp(-pi*[1])", "unexpected ')' at 1:12 (expected '.x')", 1, 12),
+        ("exp(-pi*[[1i]][x,x])", "number must be real at 1:11", 1, 11),
+        ("exp([1+2].x)", "second part of a complex element must be imaginary at 1:9", 1, 9),
+        ("3 4", "unexpected 4.0 at 1:3 (expected operator | end of input)", 1, 3),
+        ("2i i", "unexpected 'i' at 1:4 (expected operator | end of input)", 1, 4),
+        ("1e999*x1", "number 1e999 is out of range at 1:1", 1, 1),
+        ("exp(-pi*[[1]]\n[x,x] + $)", "illegal character '$' at 2:9", 2, 9),
+        ("exp(-pi*[[1,2]][x,x])",
+         "matrix literal must be square, got rows of lengths [2] at 1:9", 1, 9),
+        ("exp([1,].x)", "unexpected ']' at 1:8 (expected number)", 1, 8),
+    ],
+)
+def test_parse_error_messages(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert (err.value.line, err.value.column) == (line, column)

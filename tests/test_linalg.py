@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,16 @@ def test_overflowing_inverse_is_rejected():
     tiny = SpdForm([[1e-310]])
     with pytest.raises(SpdError), np.errstate(over="ignore"):
         tiny.inverse()
+
+
+def test_forms_near_the_float_limits_are_finite():
+    # the symmetrization must not overflow for an entry above half the
+    # float maximum, nor the inverse of a form whose inverse is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        huge = SpdForm([[1e308]])
+        inverse = SpdForm([[1e-308]]).inverse()
+    for form in (huge, inverse):
+        assert form.entries[0, 0] == pytest.approx(1e308, rel=1e-12)
+        assert form.det == pytest.approx(1e308, rel=1e-12)
+    assert huge.inverse().entries[0, 0] == pytest.approx(1e-308, rel=1e-12)

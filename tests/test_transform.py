@@ -15,6 +15,7 @@ from polygauss import (
     convolve,
     default_spec,
     fourier_transform,
+    function_to_json,
     inner_product,
     integral,
     inverse_transform,
@@ -138,6 +139,16 @@ def test_round_trip_random(rng):
         f = random_gauss_poly(rng, dim, n_terms=2, max_degree=3)
         rt = inverse_transform(fourier_transform(f))
         assert coefficient_distance(f, rt) <= 1e-8
+
+
+def test_inverse_is_the_forward_transform_of_the_reflection(rng):
+    # F^-1 g (x) = F g (-x), to the byte: the inverse term rule at sign +1
+    # is the forward one composed with x -> -x
+    for k in range(200):
+        dim = 1 + k % 3
+        g = random_gauss_poly(rng, dim, n_terms=1 + k % 3, max_degree=k % 4)
+        reflected = fourier_transform(g).compose_linear(LinearMap(-np.eye(dim)))
+        assert function_to_json(inverse_transform(g)) == function_to_json(reflected)
 
 
 # ---------------------------------------------------------------------------
