@@ -21,7 +21,6 @@ the dispatch are built from that table once per process.
 
 import argparse
 import math
-import operator
 import os
 import sys
 from functools import partial
@@ -30,12 +29,11 @@ import numpy as np
 
 from . import exprlang, quadrature, serialization, transform
 from .basis import function_to_derivative_basis
-from .core import coefficient_distance
+from .core import DIFF_MAX_ORDER, coefficient_distance
 from .errors import DimensionMismatch, ParseError, PolyGaussError, RangeError, SchemaError
 from .linalg import LinearMap
 
 SAMPLE_MAX_POINTS = 1 << 18  # over all axes: 512 x 512 in 2-D, 64^3 in 3-D
-DIFF_MAX_ORDER = 100
 
 _VERIFY_DEFAULT_TOL = {"ft": 1e-6, "conv": 1e-6, "plancherel": 1e-9, "deriv": 1e-6}
 
@@ -122,22 +120,12 @@ def _tolerance(text):
 # commands
 
 
-def _on_input(op, render=serialization.function_to_json):
-    """The handler of a command on one input f: writes render(op(f, args))."""
+def _on_input(op, render=serialization.function_to_json, inputs=("input",)):
+    """The handler of a command on the inputs named: writes render(op(*functions, args))."""
 
     def handler(args):
-        _write(render(op(_load_function(args.input), args)) + "\n", args.output)
-        return 0
-
-    return handler
-
-
-def _on_pair(op, render=serialization.function_to_json):
-    """The handler of a command on two inputs f, g: writes render(op(f, g))."""
-
-    def handler(args):
-        f = _load_function(args.first)
-        _write(render(op(f, _load_function(args.second))) + "\n", args.output)
+        functions = [_load_function(getattr(args, name)) for name in inputs]
+        _write(render(op(*functions, args)) + "\n", args.output)
         return 0
 
     return handler
@@ -158,8 +146,7 @@ def _cmd_sample(args):
         raise ParseError("every axis needs a grid; pass --grid or --axis")
     _check_grid_points(math.prod(len(g) for g in grids))
 
-    mesh = np.meshgrid(*grids, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points = quadrature.mesh(grids)
     values = f.evaluate_many(points)
     header = [f"x{j + 1}" for j in range(f.dim)] + ["re", "im"]
     rows = []
@@ -192,8 +179,8 @@ def _cmd_verify(args):
         target = claim if claim is not None else fhat
         residual = coefficient_distance(fhat, target) if claim is not None else 0.0
         if f.dim <= 3 and not f.is_zero:
-            for xi in _sample_frequencies(f.dim):
-                numeric = quadrature.quad_fourier(f, xi)
+            xis = _sample_frequencies(f.dim)
+            for xi, numeric in zip(xis, quadrature.fourier_values(f, xis)):
                 residual = max(residual, abs(target.evaluate(xi) - numeric))
     elif args.rule == "plancherel":
         lhs = transform.inner_product(f, f)
@@ -208,9 +195,8 @@ def _cmd_verify(args):
             sym = f.differentiate(alpha)
             for x in points:
                 fd = quadrature.finite_difference(f, axis, x, 1e-5)
-                residual = max(
-                    residual, abs(sym.evaluate(x) - fd) / (1.0 + abs(sym.evaluate(x)))
-                )
+                exact = sym.evaluate(x)
+                residual = max(residual, abs(exact - fd) / (1.0 + abs(exact)))
     else:  # conv
         if claim is None:
             raise SchemaError("verify --rule conv needs two inputs")
@@ -239,6 +225,7 @@ _INPUT = ("input",), {}
 _OUTPUT = ("-o", "--output"), {"default": "-", "help": "output path, '-' for stdout"}
 _UNARY = (_INPUT, _OUTPUT)
 _BINARY = (("first",), {}), (("second",), {}), _OUTPUT
+_PAIR = ("first", "second")
 
 # name, help, arguments as (argparse flags, keywords), handler(args) -> exit code
 _COMMANDS = (
@@ -261,10 +248,12 @@ _COMMANDS = (
      (_option("--matrix", _matrix, "matrix literal, e.g. [[0,1],[1,0]], or I / -I"),
       *_UNARY),
      _on_input(lambda f, a: _compose(f, a.matrix))),
-    ("conv", "convolution", _BINARY, _on_pair(transform.convolve)),
-    ("mul", "pointwise product", _BINARY, _on_pair(operator.mul)),
+    ("conv", "convolution", _BINARY,
+     _on_input(lambda f, g, a: transform.convolve(f, g), inputs=_PAIR)),
+    ("mul", "pointwise product", _BINARY, _on_input(lambda f, g, a: f * g, inputs=_PAIR)),
     ("inner", "L2 inner product", _BINARY,
-     _on_pair(transform.inner_product, serialization.complex_to_json)),
+     _on_input(lambda f, g, a: transform.inner_product(f, g), serialization.complex_to_json,
+               _PAIR)),
     ("integral", "integral over R^n", _UNARY,
      _on_input(lambda f, a: transform.integral(f), serialization.complex_to_json)),
     ("to-deriv-basis", "derivative-basis expansion per term", _UNARY,

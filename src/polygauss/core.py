@@ -24,7 +24,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .errors import DimensionMismatch, RangeError, SingularMap
-from .linalg import LinearMap, SpdForm
+from .linalg import LinearMap, SpdForm, as_vector
 from .polynomial import Polynomial
 
 # Two term keys are "the same" when every entry agrees to this mix of
@@ -33,14 +33,12 @@ from .polynomial import Polynomial
 MERGE_ABS_TOL = 1e-12
 MERGE_REL_TOL = 1e-12
 COEFF_DROP_REL = 1e-12
+# Largest total order |alpha| that differentiate accepts.
+DIFF_MAX_ORDER = 100
 
 
 def _as_complex_vector(v, dim):
-    arr = np.asarray(v, dtype=complex)
-    if arr.shape == ():
-        arr = arr.reshape(1)
-    if arr.shape != (dim,):
-        raise DimensionMismatch(f"vector has shape {arr.shape}, expected ({dim},)")
+    arr = as_vector(v, dim, "vector")
     if not all(map(cmath.isfinite, arr.tolist())):  # cheaper than numpy for short vectors
         raise RangeError(f"vector has non-finite entries: {arr}")
     out = np.array(arr, dtype=complex)
@@ -230,8 +228,7 @@ class GaussPoly:
     @classmethod
     def gaussian(cls, quad, shift=None, coeff=1.0):
         """coeff * exp(-pi x.Qx + b.x) as a one-term function."""
-        quad = quad if isinstance(quad, SpdForm) else SpdForm(quad)
-        return cls.from_term(Polynomial.constant(quad.dim, coeff), quad, shift)
+        return cls.from_term(coeff, quad, shift)
 
     @classmethod
     def standard(cls, dim):
@@ -306,12 +303,8 @@ class GaussPoly:
 
     def evaluate(self, point):
         """Value at one point; complex arguments give the holomorphic extension."""
-        arr = np.asarray(point, dtype=complex)
-        if arr.shape == ():
-            arr = arr.reshape(1)
-        if arr.shape != (self.dim,):
-            raise DimensionMismatch(f"point has shape {arr.shape}, expected ({self.dim},)")
-        return complex(self.evaluate_many(arr[None, :])[0])
+        point = as_vector(point, self.dim, "point")
+        return complex(self.evaluate_many(point[None, :])[0])
 
     # ----- linear structure ----------------------------------------------
 
@@ -395,8 +388,10 @@ class GaussPoly:
         return GaussPoly(self.dim, out)
 
     def differentiate(self, alpha):
-        """Mixed partial derivative of multi-index order alpha."""
+        """Mixed partial derivative of multi-index order alpha, at most DIFF_MAX_ORDER."""
         alpha = mi.validate(alpha, self.dim)
+        if sum(alpha) > DIFF_MAX_ORDER:
+            raise RangeError(f"derivative order {sum(alpha)} above the cap of {DIFF_MAX_ORDER}")
         result = self
         for axis, reps in enumerate(alpha):
             for _ in range(reps):

@@ -468,20 +468,11 @@ def _lower_exp_arg(arg, dim):
             const += coeff
         elif isinstance(structural, QuadApply):
             m = np.asarray(structural.matrix, dtype=float)
-            if m.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"matrix literal is {m.shape[0]}x{m.shape[0]} but dimension is {dim}"
-                )
             if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
                 raise SpdError("matrix literal in an exponent must be symmetric")
             equad = equad + coeff * m
         else:
-            v = np.asarray(structural.vector, dtype=complex)
-            if v.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"vector literal has length {v.shape[0]} but dimension is {dim}"
-                )
-            elin = elin + coeff * v
+            elin = elin + coeff * np.asarray(structural.vector, dtype=complex)
     return equad, elin, const
 
 
@@ -504,16 +495,11 @@ def _lower_node(node, dim):
     if isinstance(node, Scalar):
         return [_Piece(Polynomial.constant(dim, node.value))]
     if isinstance(node, Monomial):
-        if node.index > dim:
-            raise DimensionMismatch(f"x{node.index} exceeds dimension {dim}")
         alpha = tuple(node.power if j == node.index - 1 else 0 for j in range(dim))
         return [_Piece(Polynomial.monomial(dim, alpha))]
-    if isinstance(node, ExpNode):
-        equad, elin, const = _lower_exp_arg(node.arg, dim)
-        return [_Piece(Polynomial.constant(dim, exp_in_range(const)), equad, elin)]
-    if isinstance(node, (QuadApply, DotApply)):
-        raise ParseError("[x,x] and .x literals are only valid inside exp(...)", *node.pos)
-    raise TypeError(f"cannot lower node {node!r}")
+    # The parser admits [x,x] and .x literals only inside exp(...): node is an ExpNode.
+    equad, elin, const = _lower_exp_arg(node.arg, dim)
+    return [_Piece(Polynomial.constant(dim, exp_in_range(const)), equad, elin)]
 
 
 def lower(ast, dim=None):

@@ -20,6 +20,17 @@ def _freeze(a):
     return a
 
 
+def as_vector(v, dim, name, dtype=complex):
+    """v as an array of shape (dim,), a scalar as a length-1 vector, else
+    DimensionMismatch naming the argument; ``dtype=None`` keeps v's type."""
+    arr = np.asarray(v, dtype=dtype)
+    if arr.shape == ():
+        arr = arr.reshape(1)
+    if arr.shape != (dim,):
+        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({dim},)")
+    return arr
+
+
 class SpdForm:
     """A symmetric positive-definite quadratic form on R^n.
 
@@ -102,10 +113,6 @@ class SpdForm:
             self._eigenvalues = _freeze(np.linalg.eigvalsh(self.entries))
         return self._eigenvalues
 
-    def apply(self, v):
-        """Matrix-vector product; accepts complex vectors."""
-        return self.entries @ np.asarray(v)
-
     def bilinear(self, x, y=None):
         """The bilinear value x . A y (no conjugation), defaulting y = x."""
         x = np.asarray(x)
@@ -118,11 +125,6 @@ class SpdForm:
         if other.dim != self.dim:
             raise DimensionMismatch("quadratic form dimensions differ")
         return SpdForm._certified(self.entries + other.entries)
-
-    def scaled(self, factor):
-        if factor <= 0:
-            raise SpdError("scale factor must be positive")
-        return SpdForm(factor * self.entries)
 
     @classmethod
     def identity(cls, dim):

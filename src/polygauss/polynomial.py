@@ -19,6 +19,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .errors import DimensionMismatch, RangeError
+from .linalg import as_vector
 
 # Index cells of the elimination steps of one substitution: a step that
 # expands into T terms of P summands each needs T (P + 8) cells of 8 bytes.
@@ -120,6 +121,10 @@ class Polynomial:
     def __pow__(self, power):
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
+        # The result has at most C(n + k deg, n) monomials: refuse above the cap.
+        bound = math.comb(self.dim + power * self.degree(), self.dim)
+        if bound > SUBSTITUTION_CELL_CAP:
+            raise RangeError(f"power {power} could hold {bound} monomials, above the cap")
         result = Polynomial.constant(self.dim, 1.0)
         base = self
         while power:
@@ -169,9 +174,7 @@ class Polynomial:
         matrix = np.eye(n) if matrix is None else np.asarray(matrix)
         if matrix.shape != (n, n):
             raise DimensionMismatch("substitution matrix has wrong shape")
-        offset = np.zeros(n) if offset is None else np.asarray(offset)
-        if offset.shape != (n,):
-            raise DimensionMismatch("substitution offset has wrong length")
+        offset = np.zeros(n) if offset is None else as_vector(offset, n, "offset", None)
         # Row j of lines is the line c_j + M_j . x substituted for y_j.
         lines = np.concatenate(
             (offset[:, None], matrix), axis=1, dtype=np.result_type(offset, matrix, float)
@@ -245,9 +248,7 @@ class Polynomial:
         return self if len(kept) == len(self.coeffs) else Polynomial._trusted(self.dim, kept)
 
     def evaluate(self, point):
-        point = np.asarray(point)
-        if point.shape != (self.dim,):
-            raise DimensionMismatch("evaluation point has wrong length")
+        point = as_vector(point, self.dim, "point", None)
         total = 0j
         for alpha, c in self.coeffs.items():
             v = c

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SpecRejected
+from .linalg import as_vector
 
 TAIL_TARGET = 1e-9
 PANEL_ORDER = 20
@@ -68,9 +69,7 @@ def decay_floor(f):
 
 
 def _growth_rate(f):
-    if f.is_zero:
-        return 0.0
-    return max(float(np.linalg.norm(t.shift.real)) for t in f.terms)
+    return max((float(np.linalg.norm(t.shift.real)) for t in f.terms), default=0.0)
 
 
 def axis_rule(spec):
@@ -89,38 +88,38 @@ def axis_rule(spec):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def mesh(axes):
+    """Tensor-product points (m, len(axes)) of one array per axis, the last fastest."""
+    return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def grid(spec):
     """Tensor-product points (m, dim) and weights (m,) for the box."""
     x, w = axis_rule(spec)
-    if spec.dim == 1:
-        return x[:, None], w
-    axes = np.meshgrid(*([x] * spec.dim), indexing="ij")
-    wgts = np.meshgrid(*([w] * spec.dim), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=1)
-    wts = np.ones(pts.shape[0])
-    for wg in wgts:
-        wts *= wg.ravel()
-    return pts, wts
+    return mesh([x] * spec.dim), mesh([w] * spec.dim).prod(axis=1)
 
 
-def quad_fourier(f, xi, spec=None):
-    """Direct quadrature of integral f(x) exp(-2 pi i x . xi) dx."""
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape == ():
-        xi = xi.reshape(1)
-    if xi.shape != (f.dim,):
-        raise DimensionMismatch(f"xi has shape {xi.shape}, expected ({f.dim},)")
+def fourier_values(f, frequencies, spec=None):
+    """Direct quadrature of integral f(x) exp(-2 pi i x . xi) dx at each xi
+    of a list: every tail is checked, then one grid serves them all."""
+    xis = [as_vector(xi, f.dim, "xi") for xi in frequencies]
     if f.is_zero:
-        return 0j
+        return [0j] * len(xis)
     if spec is None:
         spec = default_spec(f)
     if spec.dim != f.dim:
         raise DimensionMismatch("spec dimension does not match function")
-    growth = _growth_rate(f) + 2.0 * math.pi * float(np.linalg.norm(xi.imag))
-    spec.check_tail(decay_floor(f), growth)
+    decay, growth = decay_floor(f), _growth_rate(f)
+    for xi in xis:
+        spec.check_tail(decay, growth + 2.0 * math.pi * float(np.linalg.norm(xi.imag)))
     pts, wts = grid(spec)
-    vals = f.evaluate_many(pts) * np.exp(-2j * math.pi * (pts @ xi))
-    return complex(wts @ vals)
+    vals = f.evaluate_many(pts)
+    return [complex(wts @ (vals * np.exp(-2j * math.pi * (pts @ xi)))) for xi in xis]
+
+
+def quad_fourier(f, xi, spec=None):
+    """Direct quadrature of integral f(x) exp(-2 pi i x . xi) dx."""
+    return fourier_values(f, [xi], spec)[0]
 
 
 def quad_convolve(f, g, x, spec=None):
@@ -129,11 +128,7 @@ def quad_convolve(f, g, x, spec=None):
         raise DimensionMismatch("function dimensions differ")
     if f.dim > 2:
         raise SpecRejected("convolution quadrature supports dim 1..2")
-    x = np.asarray(x, dtype=complex)
-    if x.shape == ():
-        x = x.reshape(1)
-    if x.shape != (f.dim,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({f.dim},)")
+    x = as_vector(x, f.dim, "x")
     if f.is_zero or g.is_zero:
         return 0j
     decay = decay_floor(f) + decay_floor(g)
@@ -160,11 +155,7 @@ def finite_difference(f, axis, x, h=1e-5):
     """Central difference along one axis at a real point."""
     if h <= 0:
         raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape == ():
-        x = x.reshape(1)
-    if x.shape != (f.dim,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({f.dim},)")
+    x = as_vector(x, f.dim, "x", float)
     step = np.zeros(f.dim)
     step[axis] = h
     return (f.evaluate(x + step) - f.evaluate(x - step)) / (2.0 * h)

@@ -404,3 +404,28 @@ def test_sizes_above_the_caps_are_range_errors(capsys, argv):
     assert captured.err.startswith("error[range]")
     assert captured.out == ""
     assert peak < 1_000_000  # refused before the grid, derivative or expansion is built
+
+
+def test_fmt_without_a_dimension_is_a_dim_error(capsys):
+    assert main(["fmt", "exp(1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error[dim]: cannot infer dimension: no literals or variables\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_verify_ft_builds_one_grid(tmp_path, capsys, monkeypatch, dim):
+    from polygauss import quadrature
+
+    calls = []
+    original = quadrature.grid
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(quadrature, "grid", counted)
+    f = GaussPoly.standard(dim).monomial_times((1,) + (0,) * (dim - 1))
+    assert main(["verify", "--rule", "ft", write_function(tmp_path, f)]) == 0
+    assert "status=pass" in capsys.readouterr().out
+    assert len(calls) == 1

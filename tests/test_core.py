@@ -373,3 +373,25 @@ def test_non_finite_map_is_singular():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularMap):
             GaussPoly.standard(1).compose_linear([[np.nan]])
+
+
+def test_derivative_order_above_the_cap_is_refused():
+    from polygauss.core import DIFF_MAX_ORDER
+
+    g = gaussian_1d()
+    assert not g.differentiate((DIFF_MAX_ORDER,)).is_zero
+    with pytest.raises(RangeError, match="derivative order 101 above the cap of 100"):
+        g.differentiate((DIFF_MAX_ORDER + 1,))
+    with pytest.raises(RangeError):
+        GaussPoly.standard(2).differentiate((50, 51))
+
+
+def test_negation_and_subtraction(rng):
+    f = random_gauss_poly(rng, 2, n_terms=3)
+    g = random_gauss_poly(rng, 2, n_terms=2)
+    assert (f - f).is_zero
+    x = random_points(rng, 1, 2)[0]
+    assert (-f).evaluate(x) == -f.evaluate(x)
+    assert coefficient_distance((f - g) + g, f) <= 1e-12
+    with pytest.raises(DimensionMismatch):
+        f - GaussPoly.standard(1)

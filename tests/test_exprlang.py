@@ -261,3 +261,22 @@ def test_parse_error_messages(text, message, line, column):
         parse(text)
     assert str(err.value) == message
     assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, dim, message",
+    [
+        ("exp(1)", None, "cannot infer dimension: no literals or variables"),
+        ("exp(-pi*[[1,0],[0,1]][x,x] + [1,2,3].x)", None,
+         "matrix/vector literals disagree on dimension: [2, 3]"),
+        ("exp(-pi*[[1,0],[0,1]][x,x]) + exp(-pi*[[1]][x,x])", None,
+         "matrix/vector literals disagree on dimension: [1, 2]"),
+        ("exp(-pi*[[1,0],[0,1]][x,x] + [1,0].x)", 3, "literals have dimension 2, expected 3"),
+        ("x3*exp(-pi*[[1,0],[0,1]][x,x])", None, "x3 exceeds dimension 2"),
+        ("x1^2*exp(-pi*x2*[[1]][x,x])", None, "x2 exceeds dimension 1"),
+    ],
+)
+def test_dimension_errors_are_found_before_lowering(text, dim, message):
+    with pytest.raises(DimensionMismatch) as info:
+        lower(parse(text), dim)
+    assert str(info.value) == message

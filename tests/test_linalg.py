@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polygauss import LinearMap, SingularMap, SpdError, SpdForm
+from polygauss import DimensionMismatch, LinearMap, SingularMap, SpdError, SpdForm
 from polygauss.testing import random_spd_form
 
 
@@ -119,3 +119,14 @@ def test_forms_near_the_float_limits_are_finite():
         assert form.entries[0, 0] == pytest.approx(1e308, rel=1e-12)
         assert form.det == pytest.approx(1e308, rel=1e-12)
     assert huge.inverse().entries[0, 0] == pytest.approx(1e-308, rel=1e-12)
+
+
+def test_as_vector_reads_one_vector_of_the_given_length():
+    from polygauss.linalg import as_vector
+
+    v = as_vector(2.0, 1, "v")
+    assert v.shape == (1,) and v.dtype == complex
+    assert as_vector([1, 2], 2, "v", None).dtype.kind == "i"
+    assert as_vector([1, 2], 2, "v", float).dtype == float
+    with pytest.raises(DimensionMismatch, match=r"xi has shape \(2, 1\), expected \(2,\)"):
+        as_vector([[1.0], [2.0]], 2, "xi")

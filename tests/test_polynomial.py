@@ -303,3 +303,26 @@ def test_gaussian_smooth_second_moments():
             assert smooth.coeffs == {alpha: 1.0, mi.zero(3): pytest.approx(s[j, k], abs=1e-15)}
     with pytest.raises(DimensionMismatch):
         Polynomial.monomial(3, (2, 0, 0)).gaussian_smooth(np.eye(2))
+
+
+def test_power_above_the_cap_is_refused_before_multiplying():
+    p = Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
+    assert len((p ** 4).coeffs) == 15  # C(2 + 4, 2)
+    tracemalloc.start()
+    try:
+        # C(2 + 3000, 2) = 4,504,501 possible monomials, above 2^22
+        with pytest.raises(RangeError, match="power 3000 could hold 4504501 monomials"):
+            p ** 3000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_evaluate_and_offset_read_vectors_of_the_right_length():
+    p = Polynomial(1, {(2,): 1.0})
+    assert p.evaluate(3.0) == p.evaluate([3.0]) == 9.0
+    with pytest.raises(DimensionMismatch, match=r"point has shape \(2,\), expected \(1,\)"):
+        p.evaluate([1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="offset has shape"):
+        p.substitute_affine(None, [1.0, 2.0])

@@ -183,3 +183,33 @@ def test_compare_absolute_floor():
 def test_compare_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         compare(1.0, 1.0, 0.0, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# fourier_values
+
+
+@pytest.mark.parametrize("dim, points", [(1, 200), (2, 60), (3, 16)])
+def test_fourier_values_match_quad_fourier(dim, points):
+    from polygauss.quadrature import fourier_values
+
+    rng = np.random.default_rng(11 + dim)
+    f = random_gauss_poly(rng, dim, n_terms=2, shift_scale=0.5)
+    spec = QuadratureSpec(dim, default_spec(f).half_width, points)
+    xis = [rng.normal(size=dim) + 0.05j * rng.normal(size=dim) for _ in range(3)]
+    values = fourier_values(f, xis, spec)
+    assert len(values) == 3
+    for xi, value in zip(xis, values):
+        expect = quad_fourier(f, xi, spec)
+        assert abs(value - expect) <= 1e-14 * abs(expect)
+
+
+def test_fourier_values_check_every_frequency():
+    from polygauss.quadrature import fourier_values
+
+    assert fourier_values(GaussPoly.zero(1), [[0.1], [0.2]]) == [0j, 0j]
+    with pytest.raises(DimensionMismatch):
+        fourier_values(gaussian(), [[0.0], [0.0, 1.0]])
+    # the second frequency's imaginary part makes the tail too heavy
+    with pytest.raises(SpecRejected):
+        fourier_values(gaussian(), [[0.0], [5j]])

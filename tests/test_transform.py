@@ -333,3 +333,17 @@ def test_rules_random_instance(rng):
         LinearMap(random_orthogonal(rng, 2) @ np.diag([1.3, 0.8])),
     )
     assert report.max_residual() <= 1e-9
+
+
+def test_rule_check_report_as_dict(rng):
+    f = random_gauss_poly(rng, 1, n_terms=2)
+    report = transform_rules_check(
+        f, (1,), np.array([0.3]), np.array([0.2]), LinearMap([[1.5]])
+    )
+    assert report.as_dict() == {
+        "derivative": report.derivative,
+        "translation": report.translation,
+        "modulation": report.modulation,
+        "change_of_variables": report.change_of_variables,
+    }
+    assert max(report.as_dict().values()) == report.max_residual()
