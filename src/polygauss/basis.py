@@ -14,7 +14,7 @@ rewritten in y, and expanding applies H_(-C) and substitutes y back.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import GaussPoly, GaussTerm
 from .errors import SolveFailure
@@ -22,13 +22,6 @@ from .linalg import SpdForm
 from .polynomial import Polynomial
 
 TOP_BLOCK_PIVOT_REL = 1e-10
-
-
-def _expand(in_y, quad, shift):
-    """The function sum_beta c_beta d^beta e, where c_beta are the coefficients of in_y."""
-    c = 2.0 * math.pi * quad.entries
-    poly = in_y.gaussian_smooth(-c).substitute_affine(-c, shift)
-    return GaussPoly(quad.dim, (GaussTerm(poly, quad, shift),)).canonical()
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class DerivativeElement:
 
     def expand(self):
         """Rewrite as a single monomial-type term by differentiating."""
-        return _expand(Polynomial.monomial(self.quad.dim, self.order), self.quad, self.shift)
+        return DerivativeExpansion({tuple(self.order): 1.0}, self.quad, self.shift).expand()
 
 
 def expand_derivative_element(element):
@@ -55,14 +48,17 @@ class DerivativeExpansion:
     coeffs: dict
     quad: SpdForm
     shift: object
-    dim: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", self.quad.dim)
+    @property
+    def dim(self):
+        return self.quad.dim
 
     def expand(self):
-        """Reassemble the monomial-type function this expansion encodes."""
-        return _expand(Polynomial(self.dim, self.coeffs), self.quad, self.shift)
+        """Reassemble the function sum_beta c_beta d^beta e that this expansion encodes."""
+        c = 2.0 * math.pi * self.quad.entries
+        in_y = Polynomial(self.dim, self.coeffs)
+        poly = in_y.gaussian_smooth(-c).substitute_affine(-c, self.shift)
+        return GaussPoly(self.dim, (GaussTerm(poly, self.quad, self.shift),)).canonical()
 
 
 def to_derivative_basis(term):

@@ -172,22 +172,25 @@ def _sample_frequencies(dim):
 def _cmd_verify(args):
     f = _load_function(args.input)
     claim = _load_function(args.against) if args.against else None
+    if claim is not None and claim.dim != f.dim:
+        raise DimensionMismatch("function dimensions differ")
     tol = args.tol if args.tol is not None else _VERIFY_DEFAULT_TOL[args.rule]
 
     if args.rule == "ft":
         fhat = transform.fourier_transform(f)
         target = claim if claim is not None else fhat
         residual = coefficient_distance(fhat, target) if claim is not None else 0.0
-        if f.dim <= 3 and not f.is_zero:
-            xis = _sample_frequencies(f.dim)
-            for xi, numeric in zip(xis, quadrature.fourier_values(f, xis)):
-                residual = max(residual, abs(target.evaluate(xi) - numeric))
+        xis = _sample_frequencies(f.dim)
+        for xi, numeric in zip(xis, quadrature.fourier_values(f, xis)):
+            residual = max(residual, abs(target.evaluate(xi) - numeric))
     elif args.rule == "plancherel":
         lhs = transform.inner_product(f, f)
         fhat = claim if claim is not None else transform.fourier_transform(f)
         rhs = transform.inner_product(fhat, fhat)
         residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     elif args.rule == "deriv":
+        if claim is not None:
+            raise SchemaError("verify --rule deriv takes one input")
         residual = 0.0
         points = [np.full(f.dim, v) for v in (-0.75, 0.0, 0.5, 1.0)]
         for axis in range(f.dim):

@@ -34,6 +34,7 @@ from .core import GaussPoly, GaussTerm, exp_in_range
 from .errors import DimensionMismatch, ParseError, SpdError
 from .linalg import SpdForm
 from .polynomial import Polynomial
+from .serialization import format_float, matrix_text
 
 # ---------------------------------------------------------------------------
 # tokens
@@ -334,8 +335,6 @@ class _Parser:
 
 def parse(text):
     """Parse source text into an AST; raises ParseError with position."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     return _Parser(tokenize(text)).parse_expr()
 
 
@@ -546,21 +545,16 @@ def lower(ast, dim=None):
 # formatting (pretty-printer; parses back to the same canonical form)
 
 
-def format_number(x, digits=6):
-    text = format(float(x), f".{digits}g")
-    return "0" if text in ("-0", "-0.0") else text
-
-
 def format_complex(z, digits=6):
     """A scalar in literal syntax: 2, -0.5, 2i, 1+2i, 1-2i, i, -i."""
     z = complex(z)
     if z.imag == 0:
-        return format_number(z.real, digits)
-    mag = format_number(abs(z.imag), digits)
+        return format_float(z.real, digits)
+    mag = format_float(abs(z.imag), digits)
     imag = ("+" if z.imag > 0 else "-") + ("i" if mag == "1" else mag + "i")
     if z.real == 0:
         return imag.lstrip("+")
-    return format_number(z.real, digits) + imag
+    return format_float(z.real, digits) + imag
 
 
 def _format_monomial(alpha):
@@ -602,11 +596,7 @@ def _signed_sum(pieces):
 
 
 def _format_exponent(term, digits):
-    q = term.quad.entries
-    rows = ",".join(
-        "[" + ",".join(format_number(v, digits) for v in row) + "]" for row in q
-    )
-    text = f"-pi*[{rows}][x,x]"
+    text = f"-pi*{matrix_text(term.quad.entries, digits)}[x,x]"
     if np.any(term.shift != 0):
         vec = ",".join(format_complex(v, digits) for v in term.shift)
         text += f" + [{vec}].x"

@@ -134,7 +134,7 @@ class SpdForm:
 class LinearMap:
     """A real linear map on R^n with cached determinant and companions."""
 
-    __slots__ = ("dim", "entries", "det", "_inverse", "_transpose")
+    __slots__ = ("dim", "entries", "det", "_inverse")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -146,7 +146,6 @@ class LinearMap:
         self.entries = _freeze(a)
         self.det = float(np.linalg.det(a))
         self._inverse = None
-        self._transpose = None
 
     def __repr__(self):
         return f"LinearMap(dim={self.dim}, det={self.det:.6g})"
@@ -169,9 +168,7 @@ class LinearMap:
         return self._inverse
 
     def transpose(self):
-        if self._transpose is None:
-            self._transpose = LinearMap(self.entries.T)
-        return self._transpose
+        return LinearMap(self.entries.T)
 
     def inverse_transpose(self):
         """The frequency-side companion map, inv(transpose)."""

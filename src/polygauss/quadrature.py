@@ -35,17 +35,15 @@ class QuadratureSpec:
         if self.points_per_axis < 1:
             raise SpecRejected("points_per_axis must be positive")
 
-    def tail_bound(self, decay, growth=0.0):
-        """Crude bound on the discarded tail for a dominating integrand
-        exp(-pi * decay * |x|^2 + growth * |x|) outside the box."""
-        h = self.half_width
-        vol = (2.0 * h) ** self.dim
-        return vol * math.exp(-math.pi * decay * h * h + growth * h)
-
     def check_tail(self, decay, growth=0.0):
+        """Accept only if the tail of a dominating integrand
+        exp(-pi * decay * |x|^2 + growth * |x|) outside the box, bounded
+        crudely by the box volume times its value at the edge, is below
+        TAIL_TARGET."""
         if decay <= 0:
             raise SpecRejected("integrand has no certified Gaussian decay")
-        bound = self.tail_bound(decay, growth)
+        h = self.half_width
+        bound = (2.0 * h) ** self.dim * math.exp(-math.pi * decay * h * h + growth * h)
         if not bound < TAIL_TARGET:
             raise SpecRejected(
                 f"truncation tail bound {bound:.3e} exceeds target {TAIL_TARGET:.0e}; "
@@ -53,19 +51,23 @@ class QuadratureSpec:
             )
 
 
+def _box(dim, decay, reach=0.0):
+    """The default box: six decay lengths past the farthest point of interest.
+    A dim without a default point count reaches QuadratureSpec, which refuses it."""
+    return QuadratureSpec(dim, 6.0 / math.sqrt(decay) + reach, DEFAULT_POINTS.get(dim, 1))
+
+
 def default_spec(f):
     """Spec sized from the slowest-decaying term of f."""
     lam = decay_floor(f)
     if lam <= 0:
         raise SpecRejected("cannot size a spec for the zero function")
-    return QuadratureSpec(f.dim, 6.0 / math.sqrt(lam), DEFAULT_POINTS[f.dim])
+    return _box(f.dim, lam)
 
 
 def decay_floor(f):
     """The slowest Gaussian decay rate over all terms of f: the least eigenvalue of any Q."""
-    if f.is_zero:
-        return 0.0
-    return min(float(t.quad.eigenvalues()[0]) for t in f.terms)
+    return min((float(t.quad.eigenvalues()[0]) for t in f.terms), default=0.0)
 
 
 def _growth_rate(f):
@@ -78,14 +80,9 @@ def axis_rule(spec):
     panels = -(-spec.points_per_axis // order)
     base_x, base_w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(-spec.half_width, spec.half_width, panels + 1)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        nodes.append(mid + half * base_x)
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * base_x).ravel(), (half[:, None] * base_w).ravel()
 
 
 def mesh(axes):
@@ -138,11 +135,7 @@ def quad_convolve(f, g, x, spec=None):
     )
     growth = _growth_rate(f) + _growth_rate(g) + cross
     if spec is None:
-        spec = QuadratureSpec(
-            f.dim,
-            6.0 / math.sqrt(decay) + float(np.linalg.norm(x)),
-            DEFAULT_POINTS[f.dim],
-        )
+        spec = _box(f.dim, decay, float(np.linalg.norm(x)))
     if spec.dim != f.dim:
         raise DimensionMismatch("spec dimension does not match function")
     spec.check_tail(decay, growth)

@@ -15,6 +15,7 @@ round-trips IEEE-754 doubles exactly; output is a single line ended by LF.
 
 import cmath
 import json
+import math
 
 import numpy as np
 
@@ -25,13 +26,13 @@ from .linalg import SpdForm
 from .polynomial import Polynomial
 
 
-def format_float(x):
+def format_float(x, digits=17):
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise SchemaError(f"non-finite value {x!r} cannot be serialized")
     if x == 0.0:  # normalize -0.0
         return "0"
-    return format(x, ".17g")
+    return format(x, f".{digits}g")
 
 
 def _coeffs_json(key, items):
@@ -43,11 +44,11 @@ def _coeffs_json(key, items):
     ) + "]"
 
 
-def _matrix_json(entries):
-    rows = []
-    for row in entries:
-        rows.append("[" + ",".join(format_float(v) for v in row) + "]")
-    return "[" + ",".join(rows) + "]"
+def matrix_text(entries, digits=17):
+    """A real matrix as nested lists, in JSON and in the expression language alike."""
+    return "[" + ",".join(
+        "[" + ",".join(format_float(v, digits) for v in row) + "]" for row in entries
+    ) + "]"
 
 
 def _vector_json(vec):
@@ -62,7 +63,7 @@ def function_to_json(f):
         poly = _coeffs_json("alpha", t.poly.items_graded())
         terms.append(
             '{"poly":%s,"quad":%s,"shift":%s}'
-            % (poly, _matrix_json(t.quad.entries), _vector_json(t.shift))
+            % (poly, matrix_text(t.quad.entries), _vector_json(t.shift))
         )
     return '{"dim":%d,"terms":[%s]}' % (fc.dim, ",".join(terms))
 
@@ -75,7 +76,7 @@ def complex_to_json(z):
 def expansion_to_json(expansion):
     items = sorted(expansion.coeffs.items(), key=lambda kv: mi.grlex_key(kv[0]))
     return '{"quad":%s,"shift":%s,"coeffs":%s}' % (
-        _matrix_json(expansion.quad.entries),
+        matrix_text(expansion.quad.entries),
         _vector_json(expansion.shift),
         _coeffs_json("beta", items),
     )

@@ -19,7 +19,7 @@ evaluation per term.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -111,17 +111,10 @@ class RuleCheckReport:
     change_of_variables: float
 
     def max_residual(self):
-        return max(
-            self.derivative, self.translation, self.modulation, self.change_of_variables
-        )
+        return max(astuple(self))
 
     def as_dict(self):
-        return {
-            "derivative": self.derivative,
-            "translation": self.translation,
-            "modulation": self.modulation,
-            "change_of_variables": self.change_of_variables,
-        }
+        return asdict(self)
 
 
 def transform_rules_check(f, alpha, a, b, mapping):

@@ -429,3 +429,67 @@ def test_verify_ft_builds_one_grid(tmp_path, capsys, monkeypatch, dim):
     assert main(["verify", "--rule", "ft", write_function(tmp_path, f)]) == 0
     assert "status=pass" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+UNIT_1D = "exp(-pi*[[1]][x,x])"
+UNIT_2D = "exp(-pi*[[1,0],[0,1]][x,x])"
+UNIT_4D = "exp(-pi*[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]][x,x])"
+
+
+@pytest.mark.parametrize("claim", [[], [UNIT_4D]], ids=["no-claim", "claim"])
+def test_verify_ft_beyond_the_oracle_reach_is_refused(capsys, claim):
+    assert main(["verify", "--rule", "ft", UNIT_4D, *claim]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error[quadrature]: quadrature supports dim 1..3, got 4\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "rule, second, expected",
+    [
+        ("plancherel", "exp(-pi*[[0.7071067811865476,0],[0,0.7071067811865476]][x,x])",
+         "error[dim]: function dimensions differ\n"),
+        ("ft", UNIT_2D, "error[dim]: function dimensions differ\n"),
+        ("conv", UNIT_2D, "error[dim]: function dimensions differ\n"),
+        ("deriv", UNIT_1D, "error[schema]: verify --rule deriv takes one input\n"),
+    ],
+    ids=["plancherel", "ft", "conv", "deriv"],
+)
+def test_verify_reads_only_the_inputs_its_rule_uses(capsys, rule, second, expected):
+    assert main(["verify", "--rule", rule, UNIT_1D, second]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == expected
+    assert captured.out == ""
+
+
+def test_sample_axis_overrides_the_grid(capsys):
+    assert main(["sample", "--grid=0:1:2", "--axis", "2=0:1:3", UNIT_2D]) == 0
+    assert capsys.readouterr().out == (
+        "x1,x2,re,im\n"
+        "0,0,1,0\n"
+        "0,0.5,0.45593812776599624,0\n"
+        "0,1,0.043213918263772258,0\n"
+        "1,0,0.043213918263772258,0\n"
+        "1,0.5,0.019702872986617114,0\n"
+        "1,1,0.0018674427317079893,0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sample", "--axis", "0=0:1:2", UNIT_1D], "error[dim]: axis 0 out of range 1..1\n"),
+        (["sample", "--axis", "2=0:1:2", UNIT_2D],
+         "error[parse]: every axis needs a grid; pass --grid or --axis\n"),
+        (["verify", "--rule", "conv", UNIT_1D],
+         "error[schema]: verify --rule conv needs two inputs\n"),
+        (["fmt", "exp(-pi*i*[[1]][x,x])"],
+         "error[spd]: quadratic part of an exponent must be real\n"),
+    ],
+    ids=["axis-zero", "axis-without-grid", "conv-one-input", "complex-quadratic"],
+)
+def test_misuse_messages(capsys, argv, expected):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == expected
+    assert captured.out == ""

@@ -90,6 +90,14 @@ def test_dimension_checks():
         QuadratureSpec(4, 6.0, 40)
 
 
+def test_dimension_beyond_the_oracle_reach_is_refused():
+    g4 = GaussPoly.standard(4)
+    with pytest.raises(SpecRejected, match=r"^quadrature supports dim 1\.\.3, got 4$"):
+        default_spec(g4)
+    with pytest.raises(SpecRejected, match=r"^quadrature supports dim 1\.\.3, got 4$"):
+        quad_fourier(g4, np.zeros(4))
+
+
 def test_zero_function_integral_is_zero():
     assert quad_fourier(GaussPoly.zero(1), [0.3]) == 0
 

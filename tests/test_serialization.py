@@ -10,7 +10,7 @@ from polygauss import (
     function_to_json,
     to_derivative_basis,
 )
-from polygauss.serialization import expansions_to_json, format_float
+from polygauss.serialization import expansions_to_json, format_float, matrix_text
 from polygauss.testing import random_gauss_poly
 
 
@@ -93,3 +93,10 @@ def test_expansion_schema():
 def test_non_finite_rejected():
     with pytest.raises(SchemaError):
         format_float(float("inf"))
+
+
+def test_format_float_and_matrix_text_take_a_digit_count():
+    assert format_float(1 / 3, 6) == "0.333333"
+    assert format_float(-0.0, 6) == "0"
+    assert matrix_text([[1.0, -0.0], [1 / 3, 2.5e-20]], 6) == "[[1,0],[0.333333,2.5e-20]]"
+    assert matrix_text([[1 / 3]]) == "[[0.33333333333333331]]"
