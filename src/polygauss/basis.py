@@ -16,7 +16,7 @@ rewritten in y, and expanding applies H_(-C) and substitutes y back.
 import math
 from dataclasses import dataclass
 
-from .core import GaussPoly, GaussTerm
+from .core import GaussPoly
 from .errors import SolveFailure
 from .linalg import SpdForm
 from .polynomial import Polynomial
@@ -58,7 +58,7 @@ class DerivativeExpansion:
         c = 2.0 * math.pi * self.quad.entries
         in_y = Polynomial(self.dim, self.coeffs)
         poly = in_y.gaussian_smooth(-c).substitute_affine(-c, self.shift)
-        return GaussPoly(self.dim, (GaussTerm(poly, self.quad, self.shift),)).canonical()
+        return GaussPoly.from_term(poly, self.quad, self.shift)
 
 
 def to_derivative_basis(term):

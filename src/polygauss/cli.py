@@ -28,6 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import exprlang, quadrature, serialization, transform
+from . import multiindex as mi
 from .basis import function_to_derivative_basis
 from .core import DIFF_MAX_ORDER, coefficient_distance
 from .errors import DimensionMismatch, ParseError, PolyGaussError, RangeError, SchemaError
@@ -194,10 +195,9 @@ def _cmd_verify(args):
         residual = 0.0
         points = [np.full(f.dim, v) for v in (-0.75, 0.0, 0.5, 1.0)]
         for axis in range(f.dim):
-            alpha = tuple(1 if j == axis else 0 for j in range(f.dim))
-            sym = f.differentiate(alpha)
+            sym = f.differentiate(mi.unit(f.dim, axis))
             for x in points:
-                fd = quadrature.finite_difference(f, axis, x, 1e-5)
+                fd = quadrature.finite_difference(f, axis, x)
                 exact = sym.evaluate(x)
                 residual = max(residual, abs(exact - fd) / (1.0 + abs(exact)))
     else:  # conv

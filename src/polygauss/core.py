@@ -116,6 +116,11 @@ def _key_clusters(terms):
     return clusters
 
 
+def exact_sum(values):
+    """The exactly rounded sum of a sequence of complex numbers, whatever their order."""
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
 def _sum_polys(dim, polys):
     """Exactly rounded sum, so the result does not depend on the order of polys."""
     if len(polys) == 1:
@@ -126,11 +131,7 @@ def _sum_polys(dim, polys):
             parts.setdefault(alpha, []).append(c)
     return Polynomial._trusted(
         dim,
-        {
-            alpha: cs[0] if len(cs) == 1
-            else complex(math.fsum(c.real for c in cs), math.fsum(c.imag for c in cs))
-            for alpha, cs in parts.items()
-        },
+        {alpha: cs[0] if len(cs) == 1 else exact_sum(cs) for alpha, cs in parts.items()},
     )
 
 
@@ -194,9 +195,6 @@ class GaussTerm:
         return _entries_close(self.quad.entries, other.quad.entries) and _entries_close(
             self.shift, other.shift
         )
-
-    def coefficient_mass(self):
-        return sum(abs(c) for c in self.poly.coeffs.values())
 
 
 class GaussPoly:
@@ -444,7 +442,7 @@ def coefficient_distance(f, g):
         mine = [terms[i].poly for i in members if i < split]
         theirs = [terms[i].poly for i in members if i >= split]
         if not (mine and theirs):
-            unmatched += sum(terms[i].coefficient_mass() for i in members)
+            unmatched += sum(sum(map(abs, terms[i].poly.coeffs.values())) for i in members)
             continue
         diff = _sum_polys(f.dim, mine) - _sum_polys(f.dim, theirs)
         worst = max(worst, max((abs(c) for c in diff.coeffs.values()), default=0.0))

@@ -27,6 +27,7 @@ definite, or lowering rejects the expression.
 import cmath
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,17 +51,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+@dataclass(slots=True)
 class Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
+    kind: str
+    value: object
+    line: int
+    col: int
 
 
 def tokenize(text):
@@ -95,75 +91,54 @@ def tokenize(text):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST; every node's pos is the (line, col) of its first token
 
 
-class Node:
-    __slots__ = ("pos",)
-
-    def __init__(self, pos):
-        self.pos = pos  # (line, col) of the first token
-
-
-class Sum(Node):
-    __slots__ = ("parts",)
-
-    def __init__(self, pos, parts):
-        super().__init__(pos)
-        self.parts = tuple(parts)  # (sign, node) pairs
+@dataclass(slots=True)
+class Sum:
+    pos: tuple
+    parts: tuple  # (sign, node) pairs
 
 
-class Product(Node):
-    __slots__ = ("factors",)
-
-    def __init__(self, pos, factors):
-        super().__init__(pos)
-        self.factors = tuple(factors)
+@dataclass(slots=True)
+class Product:
+    pos: tuple
+    factors: tuple
 
 
-class Scalar(Node):
-    __slots__ = ("value",)
-
-    def __init__(self, pos, value):
-        super().__init__(pos)
-        self.value = complex(value)
+@dataclass(slots=True)
+class Scalar:
+    pos: tuple
+    value: complex
 
 
-class Monomial(Node):
-    __slots__ = ("index", "power")
-
-    def __init__(self, pos, index, power):
-        super().__init__(pos)
-        self.index = index  # 1-based axis
-        self.power = power
+@dataclass(slots=True)
+class Monomial:
+    pos: tuple
+    index: int  # 1-based axis
+    power: int
 
 
-class ExpNode(Node):
-    __slots__ = ("arg",)
-
-    def __init__(self, pos, arg):
-        super().__init__(pos)
-        self.arg = arg  # a Sum over exp factors
+@dataclass(slots=True)
+class ExpNode:
+    pos: tuple
+    arg: Sum  # over exp factors
 
 
-class QuadApply(Node):
+@dataclass(slots=True)
+class QuadApply:
     """A matrix literal applied as a quadratic form: [[...]][x,x]."""
 
-    __slots__ = ("matrix",)
-
-    def __init__(self, pos, matrix):
-        super().__init__(pos)
-        self.matrix = tuple(tuple(row) for row in matrix)
+    pos: tuple
+    matrix: tuple
 
 
-class DotApply(Node):
+@dataclass(slots=True)
+class DotApply:
     """A vector literal dotted with the variable: [...].x"""
 
-    __slots__ = ("vector",)
-
-    def __init__(self, pos, vector):
-        super().__init__(pos)
-        self.vector = tuple(vector)
+    pos: tuple
+    vector: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +182,7 @@ class _Parser:
         parts = [(self.sign(), self.product(in_exp))]
         while self.peek().kind in ("+", "-"):
             parts.append((self.sign(), self.product(in_exp)))
-        return Sum((start.line, start.col), parts)
+        return Sum((start.line, start.col), tuple(parts))
 
     def product(self, in_exp):
         start = self.peek()
@@ -215,7 +190,7 @@ class _Parser:
         while self.peek().kind == "*":
             self.advance()
             factors.append(self.factor(in_exp))
-        return Product((start.line, start.col), factors)
+        return Product((start.line, start.col), tuple(factors))
 
     def factor(self, in_exp):
         tok = self.peek()
@@ -224,7 +199,7 @@ class _Parser:
             return Scalar(pos, self.element_part(1.0, allow_complex=True)[0])
         if tok.kind == "pi":
             self.advance()
-            return Scalar(pos, math.pi)
+            return Scalar(pos, complex(math.pi))
         if tok.kind == "XVAR":
             self.advance()
             power = 1
@@ -265,11 +240,11 @@ class _Parser:
             self.expect(",", "','")
             self.expect("x", "'x'")
             self.expect("]", "']'")
-            return QuadApply(pos, matrix)
+            return QuadApply(pos, tuple(map(tuple, matrix)))
         vector = self.vector_literal(allow_complex=True)
         self.expect(".", "'.x'")
         self.expect("x", "'x'")
-        return DotApply(pos, vector)
+        return DotApply(pos, tuple(vector))
 
     def comma_list(self, read):
         values = [read()]
@@ -419,15 +394,13 @@ def _scan_dims(node, literal_dims, max_index):
     return max_index
 
 
+@dataclass(slots=True)
 class _Piece:
     """One additive piece during lowering: polynomial times exp(x.Ex + l.x)."""
 
-    __slots__ = ("poly", "equad", "elin")
-
-    def __init__(self, poly, equad=None, elin=None):
-        self.poly = poly
-        self.equad = equad  # complex (n, n) or None if no exp factor yet
-        self.elin = elin  # complex (n,) or None
+    poly: Polynomial
+    equad: object = None  # complex (n, n) or None if no exp factor yet
+    elin: object = None  # complex (n,) or None
 
     def times(self, other):
         poly = self.poly * other.poly
@@ -443,10 +416,9 @@ def _lower_exp_arg(arg, dim):
     elin = np.zeros(dim, dtype=complex)
     const = 0j
     for sign, item in arg.parts:
-        factors = item.factors if isinstance(item, Product) else (item,)
         coeff = complex(sign)
         structural = None
-        for fac in factors:
+        for fac in item.factors:
             if isinstance(fac, Scalar):
                 coeff *= fac.value
             elif isinstance(fac, (QuadApply, DotApply)):

@@ -56,7 +56,7 @@ class SpdForm:
             raise SpdError(f"quadratic form must be a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise SpdError("quadratic form has non-finite entries")
-        scale = np.max(np.abs(a)) if a.size else 0.0
+        scale = np.max(np.abs(a))
         if scale == 0.0:
             raise SpdError("quadratic form is identically zero")
         if np.max(np.abs(a - a.T)) > 1e-12 * scale:
@@ -132,9 +132,9 @@ class SpdForm:
 
 
 class LinearMap:
-    """A real linear map on R^n with cached determinant and companions."""
+    """A real linear map on R^n with its determinant."""
 
-    __slots__ = ("dim", "entries", "det", "_inverse")
+    __slots__ = ("dim", "entries", "det")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -145,7 +145,6 @@ class LinearMap:
         self.dim = a.shape[0]
         self.entries = _freeze(a)
         self.det = float(np.linalg.det(a))
-        self._inverse = None
 
     def __repr__(self):
         return f"LinearMap(dim={self.dim}, det={self.det:.6g})"
@@ -163,9 +162,7 @@ class LinearMap:
     def inverse(self):
         if not self.is_invertible():
             raise SingularMap("linear map is singular at working precision")
-        if self._inverse is None:
-            self._inverse = LinearMap(np.linalg.inv(self.entries))
-        return self._inverse
+        return LinearMap(np.linalg.inv(self.entries))
 
     def transpose(self):
         return LinearMap(self.entries.T)

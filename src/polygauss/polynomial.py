@@ -8,8 +8,9 @@ Affine substitution p(M x + c) eliminates the input variables one axis at
 a time in numpy passes: y_j^a becomes the multinomial expansion of the line
 c_j + M_j . x over that line's nonzero entries, and equal monomials merge
 before the next axis.  Steps that would need more than
-``SUBSTITUTION_CELL_CAP`` index cells in all raise RangeError before the
-step that crosses the cap allocates them.
+``SUBSTITUTION_CELL_CAP`` index cells in all, or a step whose tables sized
+by its largest exponent would alone, raise RangeError before allocating
+them.
 """
 
 import cmath
@@ -315,6 +316,9 @@ def _eliminate(n, support, pattern):
             continue
         terms = np.flatnonzero(pattern[j])  # 0 is c_j, 1 + k is M_jk
         parts, top = len(terms), int(a.max())
+        # This step's tables indexed by exponent, on their own: bincount, counts,
+        # first, the exponents and, at run time, parts rows of complex powers.
+        _check_cells((top + 1) * (2 * parts + 4))
         present = np.flatnonzero(np.bincount(a))
         sizes = [math.comb(t + parts - 1, t) if parts else int(t == 0) for t in present.tolist()]
         _check_cells(cells + max(sizes) * (parts + 8))

@@ -91,13 +91,15 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _is_number(value, kinds=(int, float)):
+    """Whether a JSON value is a number of the given kinds; true and false are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _parse_complex_obj(obj, where):
     _require(isinstance(obj, dict), f"{where}: expected an object with re/im")
     _require(set(obj) == {"re", "im"}, f"{where}: expected exactly the keys re, im")
-    _require(
-        all(isinstance(obj[k], (int, float)) and not isinstance(obj[k], bool) for k in obj),
-        f"{where}: re and im must be numbers",
-    )
+    _require(all(map(_is_number, obj.values())), f"{where}: re and im must be numbers")
     try:
         value = complex(obj["re"], obj["im"])
     except OverflowError:  # an integer beyond the float range
@@ -115,7 +117,7 @@ def function_from_json(text):
     _require(isinstance(doc, dict), "top level must be an object")
     _require(set(doc) == {"dim", "terms"}, "top level must have exactly dim and terms")
     dim = doc["dim"]
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _require(_is_number(dim, int) and dim >= 1, "dim must be a positive integer")
     _require(isinstance(doc["terms"], list), "terms must be a list")
 
     terms = []
@@ -136,7 +138,7 @@ def function_from_json(text):
             _require(
                 isinstance(alpha, list)
                 and len(alpha) == dim
-                and all(isinstance(a, int) and a >= 0 for a in alpha),
+                and all(_is_number(a, int) and a >= 0 for a in alpha),
                 f"{spot}: alpha must be a list of {dim} nonnegative integers",
             )
             value = _parse_complex_obj({"re": item["re"], "im": item["im"]}, spot)
@@ -148,6 +150,7 @@ def function_from_json(text):
             and all(isinstance(r, list) and len(r) == dim for r in quad),
             f"{where}: quad must be a {dim}x{dim} matrix",
         )
+        _require(all(_is_number(v) for row in quad for v in row), f"{where}: quad entries must be numbers")
         shift = entry["shift"]
         _require(
             isinstance(shift, list) and len(shift) == dim,

@@ -29,6 +29,7 @@ from .core import (
     GaussTerm,
     coefficient_distance,
     conjugate_terms,
+    exact_sum,
     exp_in_range,
     product_terms,
 )
@@ -76,7 +77,7 @@ def _integral_of_terms(terms):
         values.append(const * smooth.evaluate(center))
     if not all(map(cmath.isfinite, values)):
         raise RangeError("a term of the integral is outside the floating-point range")
-    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    return exact_sum(values)
 
 
 def integral(f):

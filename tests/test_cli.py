@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import subprocess
@@ -493,3 +494,57 @@ def test_misuse_messages(capsys, argv, expected):
     captured = capsys.readouterr()
     assert captured.err == expected
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sample", "--grid=0:1", UNIT_1D],
+         "error[parse]: --grid '0:1': grid must be lo:hi:steps\n"),
+        (["sample", "--grid=0:1:0", UNIT_1D],
+         "error[parse]: --grid '0:1:0': grid needs at least one step\n"),
+        (["sample", "--axis", "1", UNIT_1D],
+         "error[parse]: --axis '1': axis spec must be J=lo:hi:steps\n"),
+    ],
+    ids=["grid-two-parts", "grid-no-steps", "axis-without-index"],
+)
+def test_malformed_grids_are_parse_errors(capsys, argv, expected):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == expected
+    assert captured.out == ""
+
+
+def test_a_json_document_is_read_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(one_term_doc(quad=2.5)))
+    assert main(["fmt", "-"]) == 0
+    assert capsys.readouterr().out == "exp(-pi*[[2.5]][x,x])\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"dim":true,"terms":[]}',
+        one_term_doc().replace('"alpha":[0]', '"alpha":[true]'),
+        one_term_doc(quad='"2.5"'),
+        one_term_doc(quad="true"),
+    ],
+    ids=["dim", "alpha", "quad-string", "quad"],
+)
+def test_booleans_and_strings_are_not_numbers(capsys, monkeypatch, doc):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    assert main(["fmt", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[schema]")
+    assert captured.out == ""
+
+
+def test_compose_refuses_the_tables_of_a_huge_exponent(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["compose", "--matrix=[[2]]", "x1^8388608*" + UNIT_1D]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("error[range]: substitution needs")
+    assert peak < 1_000_000

@@ -395,3 +395,17 @@ def test_negation_and_subtraction(rng):
     assert coefficient_distance((f - g) + g, f) <= 1e-12
     with pytest.raises(DimensionMismatch):
         f - GaussPoly.standard(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, g: g.evaluate_many(np.zeros((3, 3))),
+        lambda f, g: g.compose_linear(np.eye(3)),
+        coefficient_distance,
+    ],
+    ids=["evaluate-many", "compose-linear", "coefficient-distance"],
+)
+def test_operands_of_another_dimension_are_refused(call):
+    with pytest.raises(DimensionMismatch):
+        call(GaussPoly.standard(1), GaussPoly.standard(2))

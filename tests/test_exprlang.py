@@ -280,3 +280,17 @@ def test_dimension_errors_are_found_before_lowering(text, dim, message):
     with pytest.raises(DimensionMismatch) as info:
         lower(parse(text), dim)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, point, message",
+    [
+        ("exp(-pi*[[1]][x,x])", [0.0, 1.0], "matrix literal does not match the point dimension"),
+        ("exp([1,2].x)", [0.0], "vector literal does not match the point dimension"),
+        ("x2*exp(-pi*[[1]][x,x])", [0.0], "x2 exceeds dimension 1"),
+    ],
+    ids=["matrix", "vector", "variable"],
+)
+def test_direct_evaluation_refuses_a_point_of_another_dimension(text, point, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        evaluate_ast(parse(text), point)

@@ -130,3 +130,19 @@ def test_as_vector_reads_one_vector_of_the_given_length():
     assert as_vector([1, 2], 2, "v", float).dtype == float
     with pytest.raises(DimensionMismatch, match=r"xi has shape \(2, 1\), expected \(2,\)"):
         as_vector([[1.0], [2.0]], 2, "xi")
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: SpdForm([[1, 2, 3]]), SpdError, "must be a square matrix"),
+        (lambda: SpdForm([[0.0]]), SpdError, "identically zero"),
+        (lambda: SpdForm([[1, 1 - 1e-14], [1 - 1e-14, 1]]), SpdError, "numerically semidefinite"),
+        (lambda: SpdForm.identity(1) + SpdForm.identity(2), DimensionMismatch, "dimensions differ"),
+        (lambda: LinearMap([[1, 2]]), DimensionMismatch, "must be a square matrix"),
+    ],
+    ids=["spd-not-square", "spd-zero", "spd-semidefinite", "spd-sum-of-dims", "map-not-square"],
+)
+def test_malformed_forms_and_maps_are_refused(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

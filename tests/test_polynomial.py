@@ -319,6 +319,28 @@ def test_power_above_the_cap_is_refused_before_multiplying():
     assert peak < 1_000_000
 
 
+def test_the_cap_bounds_the_tables_sized_by_the_largest_exponent():
+    # x1^(2^23) under one nonzero entry: a table of 2^23 + 1 powers, and four
+    # index tables of that length, about 50 million cells.
+    p = Polynomial.monomial(1, (1 << 23,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="above the cap"):
+            p.substitute_affine([[1.0001]], None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_negative_powers_and_wrong_shaped_maps_are_refused():
+    p = Polynomial(2, {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        p ** -1
+    with pytest.raises(DimensionMismatch, match="substitution matrix has wrong shape"):
+        p.substitute_affine(np.eye(3), None)
+
+
 def test_evaluate_and_offset_read_vectors_of_the_right_length():
     p = Polynomial(1, {(2,): 1.0})
     assert p.evaluate(3.0) == p.evaluate([3.0]) == 9.0

@@ -221,3 +221,24 @@ def test_fourier_values_check_every_frequency():
     # the second frequency's imaginary part makes the tail too heavy
     with pytest.raises(SpecRejected):
         fourier_values(gaussian(), [[0.0], [5j]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: QuadratureSpec(1, 0.0, 10), SpecRejected, "half_width must be positive"),
+        (lambda: QuadratureSpec(1, 1.0, 0), SpecRejected, "points_per_axis must be positive"),
+        (lambda: QuadratureSpec(1, 1.0, 10).check_tail(0.0), SpecRejected, "no certified"),
+        (lambda: default_spec(GaussPoly.zero(1)), SpecRejected, "the zero function"),
+        (lambda: quad_fourier(gaussian(), [0.0], QuadratureSpec(2, 5.0, 10)),
+         DimensionMismatch, "spec dimension"),
+        (lambda: quad_convolve(gaussian(), gaussian(), [0.0], QuadratureSpec(2, 5.0, 10)),
+         DimensionMismatch, "spec dimension"),
+        (lambda: compare(1, 1, 0.0, 1e-9), ValueError, "tolerances must be positive"),
+    ],
+    ids=["zero-width", "no-points", "no-decay", "zero-function", "fourier-spec-dim",
+         "convolve-spec-dim", "zero-tolerance"],
+)
+def test_malformed_specs_and_tolerances_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -100,3 +100,12 @@ def test_format_float_and_matrix_text_take_a_digit_count():
     assert format_float(-0.0, 6) == "0"
     assert matrix_text([[1.0, -0.0], [1 / 3, 2.5e-20]], 6) == "[[1,0],[0.333333,2.5e-20]]"
     assert matrix_text([[1 / 3]]) == "[[0.33333333333333331]]"
+
+
+def test_an_integer_beyond_the_float_range_is_not_finite():
+    doc = (
+        '{"dim":1,"terms":[{"poly":[{"alpha":[0],"re":%s,"im":0}],'
+        '"quad":[[1]],"shift":[{"re":0,"im":0}]}]}' % ("1" * 401)
+    )
+    with pytest.raises(SchemaError, match="re and im must be finite"):
+        function_from_json(doc)

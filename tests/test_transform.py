@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polygauss import (
+    DimensionMismatch,
     GaussPoly,
     GaussTerm,
     Polynomial,
@@ -347,3 +348,9 @@ def test_rule_check_report_as_dict(rng):
         "change_of_variables": report.change_of_variables,
     }
     assert max(report.as_dict().values()) == report.max_residual()
+
+
+@pytest.mark.parametrize("op", [inner_product, convolve], ids=["inner-product", "convolve"])
+def test_functions_of_different_dimensions_are_refused(op):
+    with pytest.raises(DimensionMismatch, match="function dimensions differ"):
+        op(GaussPoly.standard(1), GaussPoly.standard(2))
